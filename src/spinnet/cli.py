@@ -9,7 +9,9 @@ descriptive label per row.
 Spectra are scaled on output: area values by 4*pi*gamma and volume values by
 (8*pi*gamma)^(3/2) (lP = 1), so the numbers printed are in Planck units with
 the Immirzi parameter applied.  Exit codes: 0 success, 1 parse/validation
-error with a location-bearing message, 2 geometric ill-posedness.
+error with a location-bearing message or a numerical failure (a failed
+Hermiticity check, a holonomy over its step budget), 2 geometric
+ill-posedness.
 """
 
 from __future__ import annotations
@@ -128,6 +130,8 @@ def _as_float_array(value, loc: str, shape=None) -> np.ndarray:
         raise ParseError(loc, f"expected numbers, got {value!r}") from exc
     if shape is not None and arr.shape != shape:
         raise ParseError(loc, f"expected shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ParseError(loc, "expected finite numbers, got NaN or infinity")
     return arr
 
 
@@ -492,7 +496,8 @@ def main(argv=None) -> int:
     except (IllPosedIntersectionError, NonConformingOverlapError, InvalidGraphError) as exc:
         print(f"geometry error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        # bad values, failed Hermiticity checks, holonomy step budget overrun
         print(f"error: {config.input_path}: {exc}", file=sys.stderr)
         return 1
 

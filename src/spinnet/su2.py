@@ -202,17 +202,17 @@ class LieVector:
 
 
 def su2_exp(components) -> np.ndarray:
-    """Closed-form exponential of v_i tau_i.
+    """Closed-form exponential of v_i tau_i, for one vector or a stack.
 
     (v.tau)^2 = -|v|^2/4, so exp(v.tau) = cos(|v|/2) + sinc(|v|/2) (v.tau)/1.
+    ``components`` of shape (..., 3) gives matrices of shape (..., 2, 2).
     """
-    v = np.asarray(components, dtype=float)
-    theta = float(np.linalg.norm(v))
-    half = 0.5 * theta
+    v = np.asarray(components, dtype=float)[..., None, None]
+    half = 0.5 * np.linalg.norm(v, axis=-3)
     # np.sinc(x/pi) = sin(x)/x with the correct limit at zero
     coef = np.sinc(half / np.pi)
-    vt = v[0] * TAU[0] + v[1] * TAU[1] + v[2] * TAU[2]
-    return math.cos(half) * _EYE2 + coef * vt
+    vt = v[..., 0, :, :] * TAU[0] + v[..., 1, :, :] * TAU[1] + v[..., 2, :, :] * TAU[2]
+    return np.cos(half) * _EYE2 + coef * vt
 
 
 class GroupElement:

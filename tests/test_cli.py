@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from spinnet import cli
 from spinnet.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -286,3 +287,48 @@ def test_bad_intertwiner_index(tmp_path, capsys):
     )
     assert main(["--command", "inner-product", "--input", str(doc)]) == 1
     assert "intertwiners" in capsys.readouterr().err
+
+
+HOLONOMY_NAN_MATRIX = "connection:\n  matrix: [[0.0, 0.0, 0.0], [0.0, .nan, 0.0], [2.0, 0.0, 0.0]]\n"
+
+
+def test_exit_on_non_finite_connection(tmp_path, capsys):
+    # one straight edge: used to print eight nan rows and exit 0
+    doc = tmp_path / "nan_line.yaml"
+    doc.write_text(
+        "vertices: [[0, 0, 0], [1, 0, 0]]\nedges:\n  - {from: 0, to: 1}\n" + HOLONOMY_NAN_MATRIX
+    )
+    code, text = run_cli(tmp_path, "--command", "holonomy", "--input", str(doc))
+    assert code == 1 and text == ""
+    assert "connection.matrix" in capsys.readouterr().err
+
+
+def test_exit_on_non_finite_connection_polyline(tmp_path, capsys):
+    # a two-segment edge: used to double the step count toward 2**20 steps
+    doc = tmp_path / "nan_polyline.yaml"
+    doc.write_text(
+        "vertices: [[0, 0, 0], [1, 0, 0]]\n"
+        "edges:\n  - {from: 0, to: 1, polyline: [[0, 0, 0], [0.5, 0.7, 0], [1, 0, 0]]}\n"
+        + HOLONOMY_NAN_MATRIX
+    )
+    code, text = run_cli(tmp_path, "--command", "holonomy", "--input", str(doc))
+    assert code == 1 and text == ""
+    assert "connection.matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        RuntimeError("holonomy did not converge: residual 1e-3 at 16384 steps"),
+        ArithmeticError("flux matrix failed the Hermiticity check: 1e-9"),
+    ],
+)
+def test_exit_on_numerical_failure(monkeypatch, capsys, exc):
+    def fail(doc, graph, config, path):
+        raise exc
+
+    monkeypatch.setitem(cli._RUNNERS, "holonomy", fail)
+    code = main(["--command", "holonomy", "--input", str(FIXTURES / "holonomy_line.yaml")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert str(exc) in err and "Traceback" not in err

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinnet.graphs import EmbeddedGraph, common_refinement, subdivide
 from spinnet.su2 import GroupElement, HalfInt, haar_sample, multiply, wigner
@@ -27,6 +29,7 @@ from spinnet.cyl import (
     transform_at_vertices,
     wilson_loop,
 )
+from spinnet.cyl import _holonomy_steps
 
 V = np.array
 RNG = np.random.default_rng(11)
@@ -246,9 +249,76 @@ def test_connection_constructor_forms_agree():
         holonomy(Connection(C), p),
         holonomy(Connection(lambda x: C), p),
         holonomy(Connection(lambda x, u: C @ u), p),
+        # parameters with defaults do not make a component field an (x, u) form
+        holonomy(Connection(lambda x, k=1.0: k * C), p),
+        holonomy(Connection(lambda x, u, k=1.0: k * (C @ u)), p),
     ]
     for h in hs[1:]:
         assert np.max(np.abs(h.matrix - hs[0].matrix)) < 1e-12
+
+
+def _wave_connection(C0, C1, w):
+    return Connection(lambda x: C0 + math.sin(float(w @ x)) * C1)
+
+
+def test_holonomy_magnus_is_fourth_order():
+    # a non-commuting field: halving the step cuts the error about 16-fold,
+    # where a second-order rule such as midpoint would cut it 4-fold
+    conn = _wave_connection(
+        V([[0.5, -0.3, 0.2], [0.1, 0.4, -0.6], [-0.2, 0.3, 0.5]]),
+        V([[0.0, 0.6, -0.1], [-0.4, 0.0, 0.3], [0.2, -0.5, 0.0]]),
+        V([1.3, -0.7, 0.9]),
+    )
+    p = V([[0.0, 0.0, 0.0], [1.0, 0.6, -0.4]])
+    exact = _holonomy_steps(conn, p, 1024)
+    err = {n: np.max(np.abs(_holonomy_steps(conn, p, n) - exact)) for n in (4, 8)}
+    assert err[4] / err[8] >= 10.0
+
+
+def test_holonomy_step_budget():
+    # the acceptance battery's fields converge at tol 1e-9 within 64 steps per
+    # segment, far below what a lower-order rule would need
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        C0 = rng.normal(scale=0.25, size=(3, 3))
+        C1 = rng.normal(scale=0.15, size=(3, 3))
+        conn = _wave_connection(C0, C1, rng.normal(size=3))
+        a = rng.uniform(-0.6, 0.6, size=3)
+        b = a + rng.uniform(-0.8, 0.8, size=3)
+        mid = 0.5 * (a + b) + rng.uniform(-0.2, 0.2, size=3)
+        pts = np.vstack([a, mid, b])
+        for path in (pts, pts[:2], pts[1:], pts[::-1]):
+            holonomy(conn, path, tol=1e-9, max_steps=64)
+    with pytest.raises(RuntimeError, match=r"residual .* at 4 steps"):
+        holonomy(conn, pts, tol=1e-15, max_steps=4)
+
+
+def test_holonomy_rejects_non_finite_connection():
+    p = V([[0.0, 0.0, 0.0], [0.5, 0.2, 0.1], [1.0, 0.7, 0.4]])
+    bad = np.zeros((3, 3))
+    bad[2, 0] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        holonomy(Connection(bad), p)
+    with pytest.raises(ValueError, match="not finite"):
+        holonomy(Connection(lambda x: bad if x[0] > 0.7 else np.eye(3)), p)
+
+
+_small = st.floats(-0.5, 0.5, allow_nan=False)
+_small_matrix = st.lists(_small, min_size=9, max_size=9).map(lambda xs: np.reshape(xs, (3, 3)))
+_point = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=3, max_size=3).map(np.array)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_matrix, _small_matrix, _point, _point, _point)
+def test_holonomy_composition_and_inverse_properties(C0, C1, a, mid, b):
+    conn = Connection(lambda x: C0 + x[0] * C1 + math.sin(x[1]) * C1.T)
+    p = np.vstack([a, mid, b])
+    h_full = holonomy(conn, p, tol=1e-10)
+    h_a = holonomy(conn, p[:2], tol=1e-10)
+    h_b = holonomy(conn, p[1:], tol=1e-10)
+    assert np.max(np.abs((h_b @ h_a).matrix - h_full.matrix)) < 1e-8
+    h_rev = holonomy(conn, p[::-1], tol=1e-10)
+    assert np.max(np.abs((h_rev @ h_full).matrix - np.eye(2))) < 1e-8
 
 
 def test_wilson_loop_character_identity():

@@ -25,6 +25,7 @@ from spinnet.su2 import (
     quaternions_to_matrices,
     spin_flip_matrix,
     spin_range,
+    su2_exp,
     wigner,
 )
 
@@ -80,6 +81,22 @@ def test_group_element_projects_and_validates():
         GroupElement(np.diag([2.0, 2.0]))  # not close to SU(2)
     with pytest.raises(ValueError):
         GroupElement(np.ones((3, 3)))
+
+
+def test_su2_exp_batched_matches_scalar():
+    v = np.random.default_rng(5).normal(scale=1.5, size=(4, 5, 3))
+    v[0, 0] = 0.0  # the sinc limit at the identity
+    batch = su2_exp(v)
+    assert batch.shape == (4, 5, 2, 2)
+    scalar = np.array([[su2_exp(row) for row in block] for block in v])
+    assert np.max(np.abs(batch - scalar)) < 1e-14
+    eye = batch @ np.conj(np.swapaxes(batch, -1, -2))
+    assert np.max(np.abs(eye - np.eye(2))) < 1e-14
+    assert np.max(np.abs(np.linalg.det(batch) - 1.0)) < 1e-14
+    # exp(v.tau) as a power series in the tau basis
+    m = sum(v[1, 2, i] * TAU[i] for i in range(3))
+    series = sum(np.linalg.matrix_power(m, k) / math.factorial(k) for k in range(30))
+    assert np.max(np.abs(batch[1, 2] - series)) < 1e-14
 
 
 def test_wigner_half_is_defining_rep():
