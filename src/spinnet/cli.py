@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,6 +32,7 @@ from .cyl import (
     holonomy,
     inner_product,
     mc_inner_product,
+    spin_network_basis,
     states_for_spins,
 )
 from .graphs import (
@@ -123,6 +125,12 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
+def _as_list(value, loc: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(loc, "expected a list")
+    return value
+
+
 def _as_float_array(value, loc: str, shape=None) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
@@ -140,7 +148,7 @@ def _build_graph(doc: dict, path: str) -> EmbeddedGraph:
     vertices = _as_float_array(verts, f"{path}: vertices")
     if vertices.ndim != 2 or vertices.shape[1] != 3:
         raise ParseError(f"{path}: vertices", "expected a list of [x, y, z] points")
-    edge_entries = _require(doc, "edges", path)
+    edge_entries = _as_list(_require(doc, "edges", path), f"{path}: edges")
     specs = []
     for i, entry in enumerate(edge_entries):
         loc = f"{path}: edges[{i}]"
@@ -181,7 +189,7 @@ def _build_surface(entry, loc: str) -> Surface:
 
 
 def _surfaces(doc: dict, path: str, need: int) -> list[Surface]:
-    entries = doc.get("surfaces", [])
+    entries = _as_list(doc.get("surfaces", []), f"{path}: surfaces")
     if len(entries) < need:
         raise ParseError(
             f"{path}: surfaces", f"this command needs {need} surface(s), found {len(entries)}"
@@ -204,7 +212,7 @@ def _build_state(entry, graph: EmbeddedGraph, loc: str):
     """One state: a product monomial, or spins plus per-vertex intertwiner indices."""
     if not isinstance(entry, dict) or "edges" not in entry:
         raise ParseError(loc, "expected a mapping with an 'edges' record list")
-    records = entry["edges"]
+    records = _as_list(entry["edges"], f"{loc}.edges")
     per_edge = {}
     for i, rec in enumerate(records):
         rloc = f"{loc}.edges[{i}]"
@@ -261,7 +269,7 @@ def _build_state(entry, graph: EmbeddedGraph, loc: str):
 
 
 def _states(doc: dict, graph: EmbeddedGraph, path: str, need: int):
-    entries = doc.get("states", [])
+    entries = _as_list(doc.get("states", []), f"{path}: states")
     if len(entries) < need:
         raise ParseError(
             f"{path}: states", f"this command needs {need} state(s), found {len(entries)}"
@@ -273,7 +281,7 @@ def _smearings(doc: dict, path: str, need: int) -> list[np.ndarray]:
     if need == 1 and "smearing" in doc:
         entries = [doc["smearing"]]
     else:
-        entries = doc.get("smearings", [])
+        entries = _as_list(doc.get("smearings", []), f"{path}: smearings")
         if need == 1 and not entries:
             raise ParseError(f"{path}: smearing", "required section is missing")
     if len(entries) < need:
@@ -382,24 +390,15 @@ def _cmd_commutator_check(doc, graph, config, path):
 
 
 def _cmd_basis_enum(doc, graph, config, path):
-    import itertools
-
     gauge = bool(doc.get("gauge_invariant", True))
-    tmax = config.max_spin.twice
-    if tmax < 1:
+    if config.max_spin.twice < 1:
         raise ParseError("--max-spin", "must be at least 1 (twice-value)")
-    rows = []
-    total = 0
-    for twice in itertools.product(range(1, tmax + 1), repeat=graph.n_edges):
-        n = len(states_for_spins(graph, [HalfInt(t) for t in twice], gauge))
-        total += n
-        if n:
-            label = " ".join(
-                f"e{e}={t // 2 if t % 2 == 0 else str(t) + '/2'}"
-                for e, t in enumerate(twice)
-            )
-            rows.append((float(n), 1, label))
-    rows.append((float(total), 1, "total states"))
+    counts = Counter(s.spins for s in spin_network_basis(graph, config.max_spin, gauge))
+    rows = [
+        (float(n), 1, " ".join(f"e{e}={j}" for e, j in enumerate(spins)))
+        for spins, n in counts.items()
+    ]
+    rows.append((float(counts.total()), 1, "total states"))
     return rows
 
 

@@ -24,11 +24,10 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse
 
 from .graphs import (
     GEO_TOL,
@@ -56,7 +55,6 @@ from .su2 import (
 from .su2 import _mag_index
 
 __all__ = [
-    "BasisMonomial",
     "Connection",
     "CylFun",
     "GaugeTransformation",
@@ -312,6 +310,15 @@ class CylFun:
             clean[key] = clean.get(key, 0j) + complex(coeff)
         self.coefficients = clean
 
+    @classmethod
+    def _trusted(cls, graph: EmbeddedGraph, coefficients: dict[Labels, complex]) -> "CylFun":
+        """Wrap a dict of canonical labels and complex values built inside the
+        package, skipping the label checks of the public constructor."""
+        fun = cls.__new__(cls)
+        fun.graph = graph
+        fun.coefficients = coefficients
+        return fun
+
     @property
     def n_terms(self) -> int:
         return len(self.coefficients)
@@ -320,7 +327,7 @@ class CylFun:
         return math.sqrt(sum(abs(c) ** 2 for c in self.coefficients.values()))
 
     def prune(self, eps: float = 1e-15) -> "CylFun":
-        return CylFun(
+        return CylFun._trusted(
             self.graph, {l: c for l, c in self.coefficients.items() if abs(c) > eps}
         )
 
@@ -330,13 +337,14 @@ class CylFun:
         out = dict(self.coefficients)
         for l, c in other.coefficients.items():
             out[l] = out.get(l, 0j) + c
-        return CylFun(self.graph, out)
+        return CylFun._trusted(self.graph, out)
 
     def __sub__(self, other: "CylFun") -> "CylFun":
         return self + (-1.0) * other
 
     def __rmul__(self, scalar) -> "CylFun":
-        return CylFun(self.graph, {l: scalar * c for l, c in self.coefficients.items()})
+        s = complex(scalar)
+        return CylFun._trusted(self.graph, {l: s * c for l, c in self.coefficients.items()})
 
 
 def monomial(graph: EmbeddedGraph, labels) -> CylFun:
@@ -345,26 +353,6 @@ def monomial(graph: EmbeddedGraph, labels) -> CylFun:
         (HalfInt.of(j).twice, HalfInt.of(m).twice, HalfInt.of(n).twice) for j, m, n in labels
     )
     return CylFun(graph, {key: 1.0 + 0j})
-
-
-@dataclass(frozen=True)
-class BasisMonomial:
-    """One orthonormal basis monomial: per-edge (j, m, n) labels on a graph."""
-
-    graph: EmbeddedGraph
-    labels: tuple[tuple[HalfInt, HalfInt, HalfInt], ...]
-
-    @property
-    def normalization(self) -> float:
-        """The prefactor prod_e sqrt(2 j_e + 1) making the monomial a unit
-        vector under the Haar inner product."""
-        out = 1.0
-        for j, _, _ in self.labels:
-            out *= math.sqrt(j.twice + 1)
-        return out
-
-    def as_cylfun(self) -> CylFun:
-        return monomial(self.graph, self.labels)
 
 
 def graphs_equal(a: EmbeddedGraph, b: EmbeddedGraph) -> bool:
@@ -489,6 +477,8 @@ def promote(fun: CylFun, refinement: RefinementMap) -> CylFun:
     The coefficient rescaling (2j+1)^{(1-L)/2} keeps the normalized-monomial
     coefficients, and hence all inner products, exactly intact.
     """
+    if refinement.is_identity():  # every chain has length 1: labels stay as they are
+        return CylFun._trusted(refinement.fine, fun.coefficients).prune()
     n_fine = refinement.fine.n_edges
     out: dict[Labels, complex] = {}
     for labels, coeff in fun.coefficients.items():
@@ -523,7 +513,7 @@ def promote(fun: CylFun, refinement: RefinementMap) -> CylFun:
         for c, d in partial:
             key = tuple(d.get(f, TRIVIAL) for f in range(n_fine))
             out[key] = out.get(key, 0j) + c
-    return CylFun(refinement.fine, out).prune()
+    return CylFun._trusted(refinement.fine, out).prune()
 
 
 def _dot(c1: dict[Labels, complex], c2: dict[Labels, complex]) -> complex:
@@ -567,6 +557,8 @@ def gram(funs: Sequence[CylFun], sparse: bool = False):
             rows.append(i)
             cols.append(k)
             vals.append(c)
+    import scipy.sparse  # deferred: only this function needs it, and it is slow to import
+
     C = scipy.sparse.csr_matrix(
         (vals, (rows, cols)), shape=(len(funs), max(len(index), 1)), dtype=complex
     )
@@ -750,7 +742,7 @@ def states_for_spins(
             coeffs[key] = coeffs.get(key, 0j) + c
         states.append(
             SpinNetworkState(
-                CylFun(graph, coeffs).prune(),
+                CylFun._trusted(graph, coeffs).prune(),
                 spins,
                 tuple(lab for lab, _ in combo),
                 gauge_invariant,

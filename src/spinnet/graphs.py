@@ -38,14 +38,11 @@ __all__ = [
     "subdivide_many",
     "common_refinement",
     "punctures",
-    "orientation_factor",
     "outgoing_tangent",
     "half_edges_at",
     "is_spurious",
     "identity_refinement",
     "compose_refinements",
-    "chain_polyline",
-    "canonical_polyline",
 ]
 
 GEO_TOL = 1e-9
@@ -176,32 +173,6 @@ def compose_refinements(outer: RefinementMap, inner: RefinementMap) -> Refinemen
     return RefinementMap(inner.coarse, outer.fine, chains)
 
 
-def chain_polyline(rmap: RefinementMap, coarse_edge: int) -> np.ndarray:
-    """Concatenate the polylines of a coarse edge's fine chain."""
-    pts: list[np.ndarray] = []
-    for fid, sign in rmap.chains[coarse_edge]:
-        poly = rmap.fine.edges[fid].polyline
-        if sign == -1:
-            poly = poly[::-1]
-        if pts:
-            poly = poly[1:]  # drop the duplicated junction point
-        pts.extend(poly)
-    return np.array(pts)
-
-
-def canonical_polyline(poly: np.ndarray, tol: float = GEO_TOL) -> np.ndarray:
-    """Drop interior breakpoints that lie on the segment joining their
-    neighbours (within tol), so that re-splitting round-trips exactly."""
-    pts = [np.asarray(poly[0], dtype=float)]
-    for i in range(1, len(poly) - 1):
-        prev, cur, nxt = pts[-1], poly[i], poly[i + 1]
-        dist, t = _point_segment(cur, prev, nxt)
-        if dist > tol or t <= 0.0 or t >= 1.0:
-            pts.append(np.asarray(cur, dtype=float))
-    pts.append(np.asarray(poly[-1], dtype=float))
-    return np.array(pts)
-
-
 # ---------------------------------------------------------------------------
 # low-level geometry
 
@@ -315,31 +286,6 @@ def is_spurious(graph: EmbeddedGraph, vertex: int, tol: float = GEO_TOL) -> bool
     t1 = outgoing_tangent(graph, e1, end1 == "start")
     t2 = outgoing_tangent(graph, e2, end2 == "start")
     return float(t1 @ t2) < 0.0 and float(np.linalg.norm(np.cross(t1, t2))) < tol
-
-
-def orientation_factor(graph: EmbeddedGraph, vertex: int, e1: int, e2: int, e3: int) -> int:
-    """Sign of the determinant of the outgoing unit tangents of three distinct
-    incident edges; 0 when the triple is coplanar within tolerance."""
-    ids = (e1, e2, e3)
-    if len(set(ids)) != 3:
-        raise ValueError("orientation factor needs three distinct edges")
-    tangents = []
-    for eid in ids:
-        e = graph.edges[eid]
-        if e.start == vertex and e.end == vertex:
-            raise ValueError(
-                f"edge {eid} is a loop at vertex {vertex}; pass explicit tangents instead"
-            )
-        if e.start == vertex:
-            tangents.append(outgoing_tangent(graph, eid, True))
-        elif e.end == vertex:
-            tangents.append(outgoing_tangent(graph, eid, False))
-        else:
-            raise ValueError(f"edge {eid} is not incident at vertex {vertex}")
-    det = float(np.linalg.det(np.array(tangents)))
-    if abs(det) < GEO_TOL:
-        return 0
-    return 1 if det > 0 else -1
 
 
 def tangent_orientation(t1, t2, t3, tol: float = GEO_TOL) -> int:

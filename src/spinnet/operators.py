@@ -48,7 +48,7 @@ from .graphs import (
     punctures,
     tangent_orientation,
 )
-from .su2 import HalfInt, LieVector, angular_momentum
+from .su2 import HalfInt, LieVector, angular_momentum, total_spins
 
 __all__ = [
     "FluxSpec",
@@ -74,6 +74,7 @@ __all__ = [
 HERMITICITY_TOL = 1e-12
 ORTHONORMALITY_TOL = 1e-10
 VOLUME_ZERO_CLIP = 1e-12
+SPECTRUM_TOL = 1e-12
 
 #: (i, j, k, sign) for every nonzero entry of the Levi-Civita symbol.
 _LEVI = (
@@ -84,10 +85,6 @@ _LEVI = (
     (2, 1, 0, -1.0),
     (1, 0, 2, -1.0),
 )
-
-
-def _fmt_twice(t: int) -> str:
-    return str(t // 2) if t % 2 == 0 else f"{t}/2"
 
 
 def _is_away(direction: str) -> bool:
@@ -108,36 +105,74 @@ def _slot_generators(tj: int, away: bool) -> tuple[np.ndarray, np.ndarray, np.nd
     return mats
 
 
-def _dotted_generator(tj: int, away: bool, f: np.ndarray) -> np.ndarray:
-    a, b, c = _slot_generators(tj, away)
-    return f[0] * a + f[1] * b + f[2] * c
+def _flux_columns(away: bool, f: np.ndarray, scale):
+    """Column lookup for scale * (f . Jhat) on one half-edge slot."""
+
+    def lookup(tjs):
+        if tjs[0] == 0:
+            return ()  # trivial representation: generators vanish
+        a, b, c = _slot_generators(tjs[0], away)
+        return _column_table(scale * (f[0] * a + f[1] * b + f[2] * c), tjs)
+
+    return lookup
 
 
-def _merge(acc: dict, extra: dict) -> None:
-    for k, v in extra.items():
-        acc[k] = acc.get(k, 0j) + v
+def _column_table(mat, tjs) -> list:
+    """Per column of a matrix on the slot-major product of the spaces of
+    ``tjs``: its nonzero (row twice-magnetic labels, value) pairs."""
+    rows = list(itertools.product(*(range(tj, -tj - 1, -2) for tj in tjs)))
+    return [
+        [(rows[r], v) for r, v in enumerate(column) if v != 0]
+        for column in mat.T.tolist()
+    ]
 
 
-def _half_edge_image(coeffs, edge: int, away: bool, f, scale) -> dict:
-    """Apply scale * (f . Jhat) on one half-edge slot to a coefficient dict."""
+def _slot_action(coeffs, slots, columns_for, acc: dict) -> None:
+    """Add to ``acc`` the image of ``coeffs`` under a matrix on label slots.
+
+    ``slots`` lists (edge, away) pairs: an away slot acts on the column label
+    n of its edge's matrix element, a toward slot on the row label m.
+    ``columns_for(twice_spins)`` gives the matrix for those slot spins as a
+    ``_column_table``, empty where the action vanishes; it is looked up once
+    per spin tuple.  The terms of one call are summed before they are added
+    to ``acc``.
+    """
     out: dict = {}
-    cache: dict[int, np.ndarray] = {}
-    for labels, coef in coeffs.items():
-        tj, tm, tn = labels[edge]
-        if tj == 0:
-            continue  # trivial representation: generators vanish
-        mat = cache.get(tj)
-        if mat is None:
-            mat = cache[tj] = scale * _dotted_generator(tj, away, f)
-        col = (tj - tn) // 2 if away else (tj - tm) // 2
-        for row in range(tj + 1):
-            v = mat[row, col]
-            if v == 0:
+    tables: dict = {}
+    if len(slots) == 1:  # the flux hot path: relabel one slot by slicing
+        ((e, away),) = slots
+        for labels, coef in coeffs.items():
+            tj, tm, tn = labels[e]
+            table = tables.get(tj)
+            if table is None:
+                table = tables[tj] = columns_for((tj,))
+            if not table:
                 continue
-            lab = (tj, tm, tj - 2 * row) if away else (tj, tj - 2 * row, tn)
-            key = labels[:edge] + (lab,) + labels[edge + 1 :]
-            out[key] = out.get(key, 0j) + coef * v
-    return out
+            head, tail = labels[:e], labels[e + 1 :]
+            for (mag,), v in table[(tj - (tn if away else tm)) // 2]:
+                key = head + ((tj, tm, mag) if away else (tj, mag, tn),) + tail
+                out[key] = out.get(key, 0j) + coef * v
+    else:
+        for labels, coef in coeffs.items():
+            tjs = tuple(labels[e][0] for e, _ in slots)
+            table = tables.get(tjs)
+            if table is None:
+                table = tables[tjs] = columns_for(tjs)
+            if not table:
+                continue
+            col = 0
+            for (e, away), tj in zip(slots, tjs):
+                _, tm, tn = labels[e]
+                col = col * (tj + 1) + (tj - (tn if away else tm)) // 2
+            for mags, v in table[col]:
+                new = list(labels)
+                for (e, away), mag in zip(slots, mags):
+                    tj, tm, tn = new[e]
+                    new[e] = (tj, tm, mag) if away else (tj, mag, tn)
+                key = tuple(new)
+                out[key] = out.get(key, 0j) + coef * v
+    for key, v in out.items():
+        acc[key] = acc.get(key, 0j) + v
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +207,9 @@ def _flux_image(pr, F: FluxSpec, coeffs: dict) -> dict:
         for he in p.half_edges:
             if he.kappa == 0:
                 continue  # tangent half-edges do not contribute
-            _merge(
-                acc,
-                _half_edge_image(coeffs, he.edge, _is_away(he.direction), f, 0.5 * he.kappa),
+            away = _is_away(he.direction)
+            _slot_action(
+                coeffs, [(he.edge, away)], _flux_columns(away, f, 0.5 * he.kappa), acc
             )
     return acc
 
@@ -188,16 +223,16 @@ def flux_apply(F: FluxSpec, psi: CylFun) -> CylFun:
     """
     pr = punctures(psi.graph, F.surface)
     fine = promote(psi, pr.refinement)
-    return CylFun(pr.graph, _flux_image(pr, F, fine.coefficients))
+    return CylFun._trusted(pr.graph, _flux_image(pr, F, fine.coefficients))
 
 
 def _state_funs(basis) -> list[CylFun]:
+    if not basis:
+        raise ValueError("basis is empty")
     return [b.fun if isinstance(b, SpinNetworkState) else b for b in basis]
 
 
 def _check_orthonormal(funs: Sequence[CylFun]) -> None:
-    if not funs:
-        raise ValueError("basis is empty")
     g = funs[0].graph
     for f in funs[1:]:
         if not graphs_equal(f.graph, g):
@@ -209,28 +244,34 @@ def _check_orthonormal(funs: Sequence[CylFun]) -> None:
         )
 
 
-def flux_matrix(F: FluxSpec, basis) -> np.ndarray:
-    """Matrix of the flux derivation in an orthonormal basis of states.
+def _operator_matrix(funs: Sequence[CylFun], refinement, image) -> np.ndarray:
+    """Matrix of an operator in an orthonormal basis of functions.
 
-    Promotion to the punctured graph is an isometry, so matrix elements are
-    taken between the promoted functions.  The raw matrix is checked to be
-    Hermitian to 1e-12 and returned exactly Hermitian.
+    ``image`` maps a coefficient dict on the refined graph to the operator's
+    image there.  Promotion is an isometry, so matrix elements are taken
+    between the promoted functions.  The raw matrix is checked to be
+    Hermitian to HERMITICITY_TOL and returned exactly Hermitian.
     """
-    funs = _state_funs(basis)
     _check_orthonormal(funs)
-    pr = punctures(funs[0].graph, F.surface)
-    proms = [promote(f, pr.refinement) for f in funs]
-    images = [_flux_image(pr, F, p.coefficients) for p in proms]
+    proms = [promote(f, refinement).coefficients for f in funs]
+    images = [image(c) for c in proms]
     n = len(funs)
     mat = np.zeros((n, n), dtype=complex)
     for i in range(n):
-        ci = proms[i].coefficients
         for j in range(n):
-            mat[i, j] = _dot(ci, images[j])
-    dev = np.max(np.abs(mat - mat.conj().T)) if n else 0.0
+            mat[i, j] = _dot(proms[i], images[j])
+    dev = np.max(np.abs(mat - mat.conj().T))
     if dev > HERMITICITY_TOL:
-        raise ArithmeticError(f"flux matrix failed the Hermiticity check: {dev:.3e}")
+        raise ArithmeticError(f"operator matrix failed the Hermiticity check: {dev:.3e}")
     return (mat + mat.conj().T) / 2.0
+
+
+def flux_matrix(F: FluxSpec, basis) -> np.ndarray:
+    """Matrix of the flux derivation in an orthonormal basis of states,
+    checked to be Hermitian to HERMITICITY_TOL and returned exactly Hermitian."""
+    funs = _state_funs(basis)
+    pr = punctures(funs[0].graph, F.surface)
+    return _operator_matrix(funs, pr.refinement, lambda c: _flux_image(pr, F, c))
 
 
 def _presubdivided(psi: CylFun, *specs: FluxSpec):
@@ -282,11 +323,11 @@ def flux_commutator_closed_form(F1: FluxSpec, F2: FluxSpec, psi: CylFun) -> CylF
             kk = he.kappa * kappa2.get((he.edge, he.direction), 0)
             if kk == 0:
                 continue
-            _merge(
-                acc,
-                _half_edge_image(fun.coefficients, he.edge, _is_away(he.direction), cross, 0.25j * kk),
+            away = _is_away(he.direction)
+            _slot_action(
+                fun.coefficients, [(he.edge, away)], _flux_columns(away, cross, 0.25j * kk), acc
             )
-    return CylFun(fun.graph, acc)
+    return CylFun._trusted(fun.graph, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -397,36 +438,52 @@ def _sqrt_psd(mat: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 
-def _vertex_image(coeffs, slots, mat, cut: float = 1e-15) -> dict:
-    """Apply a matrix on the joint label slots listed in ``slots``."""
-    dims = tuple(tj + 1 for (_, _, tj) in slots)
-    out: dict = {}
-    for labels, coef in coeffs.items():
-        idx = []
-        for e, d, tj in slots:
-            tje, tm, tn = labels[e]
-            if tje != tj:
-                raise ValueError(f"edge {e} carries spin {_fmt_twice(tje)}, expected {_fmt_twice(tj)}")
-            idx.append((tj - tn) // 2 if _is_away(d) else (tj - tm) // 2)
-        col = int(np.ravel_multi_index(idx, dims))
-        colvec = mat[:, col]
-        for row in np.nonzero(np.abs(colvec) > cut)[0]:
-            new = list(labels)
-            for (e, d, tj), r in zip(slots, np.unravel_index(int(row), dims)):
-                tje, tm, tn = new[e]
-                new[e] = (tj, tm, tj - 2 * int(r)) if _is_away(d) else (tj, tj - 2 * int(r), tn)
-            key = tuple(new)
-            out[key] = out.get(key, 0j) + coef * colvec[row]
-    return out
+def _coarse_parents(refinement) -> dict[int, int]:
+    """Coarse parent edge of every fine edge of a refinement."""
+    return {fe: ce for ce, chain in refinement.chains.items() for fe, _sign in chain}
 
 
 def _fine_spins(pr, coarse_spins) -> list[HalfInt]:
     """Spin per fine edge, inherited from the coarse parent through the chains."""
-    parent = {}
-    for ce, chain in pr.refinement.chains.items():
-        for fe, _sign in chain:
-            parent[fe] = ce
+    parent = _coarse_parents(pr.refinement)
     return [HalfInt.of(coarse_spins[parent[fe]]) for fe in range(len(pr.graph.edges))]
+
+
+def _area_image(pr, coarse_spins):
+    """Coefficient map of sum_p sqrt(-Delta_p) on the punctured graph; entries
+    of sqrt(-Delta_p) of magnitude up to 1e-15 are dropped."""
+    spins = _fine_spins(pr, coarse_spins)
+    actions = []
+    for p in pr.punctures:
+        op = area_vertex_matrix(p, spins)
+        if not op.slots:
+            continue  # all half-edges tangent: zero contribution
+        smat = _sqrt_psd(op.matrix)
+        smat[np.abs(smat) <= 1e-15] = 0.0
+        slots = [(e, _is_away(d)) for e, d, _ in op.slots]
+        actions.append((slots, _fixed_spin_columns(op.slots, smat)))
+
+    def image(coeffs):
+        acc: dict = {}
+        for slots, lookup in actions:
+            _slot_action(coeffs, slots, lookup, acc)
+        return acc
+
+    return image
+
+
+def _fixed_spin_columns(slots, mat):
+    """Column lookup for a matrix built for the spins listed in ``slots``;
+    other spins on those edges raise ``ValueError``."""
+    table = _column_table(mat, [tj for _, _, tj in slots])
+
+    def lookup(tjs):
+        for (e, _, tj), t in zip(slots, tjs):
+            if t != tj:
+                raise ValueError(f"edge {e} carries spin {HalfInt(t)}, expected {HalfInt(tj)}")
+        return table
+
+    return lookup
 
 
 def area_apply(surface: Surface, psi: SpinNetworkState) -> CylFun:
@@ -438,64 +495,21 @@ def area_apply(surface: Surface, psi: SpinNetworkState) -> CylFun:
     """
     pr = punctures(psi.fun.graph, surface)
     fine = promote(psi.fun, pr.refinement)
-    spins = _fine_spins(pr, psi.spins)
-    acc: dict = {}
-    for p in pr.punctures:
-        op = area_vertex_matrix(p, spins)
-        if not op.slots:
-            continue  # all half-edges tangent: zero contribution
-        _merge(acc, _vertex_image(fine.coefficients, op.slots, _sqrt_psd(op.matrix)))
-    return CylFun(pr.graph, acc)
+    return CylFun._trusted(pr.graph, _area_image(pr, psi.spins)(fine.coefficients))
 
 
 def area_matrix(surface: Surface, basis) -> np.ndarray:
     """Matrix of the area operator in an orthonormal basis of spin-network states.
 
-    All states must share one graph and one spin assignment.
+    All states must share one graph and one spin assignment.  The matrix is
+    checked to be Hermitian to HERMITICITY_TOL and returned exactly Hermitian.
     """
-    if not basis:
-        raise ValueError("basis is empty")
     funs = _state_funs(basis)
-    _check_orthonormal(funs)
     spins = basis[0].spins
-    for b in basis[1:]:
-        if b.spins != spins:
-            raise ValueError("basis states must share one spin assignment")
+    if any(b.spins != spins for b in basis[1:]):
+        raise ValueError("basis states must share one spin assignment")
     pr = punctures(funs[0].graph, surface)
-    proms = [promote(f, pr.refinement) for f in funs]
-    fine = _fine_spins(pr, spins)
-    sqrts = []
-    for p in pr.punctures:
-        op = area_vertex_matrix(p, fine)
-        if op.slots:
-            sqrts.append((op.slots, _sqrt_psd(op.matrix)))
-    images = []
-    for pf in proms:
-        acc: dict = {}
-        for slots, smat in sqrts:
-            _merge(acc, _vertex_image(pf.coefficients, slots, smat))
-        images.append(acc)
-    n = len(funs)
-    mat = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            mat[i, j] = _dot(proms[i].coefficients, images[j])
-    dev = np.max(np.abs(mat - mat.conj().T)) if n else 0.0
-    if dev > 1e-10:
-        raise ArithmeticError(f"area matrix failed the Hermiticity check: {dev:.3e}")
-    return (mat + mat.conj().T) / 2.0
-
-
-def _couplings(twice_spins) -> set[int]:
-    """Total twice-spins reachable by coupling the given family."""
-    allowed = {0}
-    for t in twice_spins:
-        allowed = {
-            tt
-            for a in allowed
-            for tt in range(abs(a - t), a + t + 1, 2)
-        }
-    return allowed
+    return _operator_matrix(funs, pr.refinement, _area_image(pr, spins))
 
 
 def _area_eigenvalue(tu: int, td: int, tud: int) -> float:
@@ -522,10 +536,7 @@ def area_spectrum(graph: EmbeddedGraph, surface: Surface, max_spin) -> Spectrum:
     pr = punctures(graph, surface)
     if not pr.punctures:
         return Spectrum.from_samples([(0.0, 1, "no punctures")])
-    parent = {}
-    for ce, chain in pr.refinement.chains.items():
-        for fe, _sign in chain:
-            parent[fe] = ce
+    parent = _coarse_parents(pr.refinement)
     families = []
     for p in pr.punctures:
         up = [parent[he.edge] for he in p.half_edges if he.kappa > 0]
@@ -535,14 +546,15 @@ def area_spectrum(graph: EmbeddedGraph, surface: Surface, max_spin) -> Spectrum:
     n_edges = len(graph.edges)
     samples = []
     for assign in itertools.product(range(tmax + 1), repeat=n_edges):
-        prefix = " ".join(f"e{e}={_fmt_twice(t)}" for e, t in enumerate(assign))
+        spins = [HalfInt(t) for t in assign]
+        prefix = " ".join(f"e{e}={j}" for e, j in enumerate(spins))
         options = []
         feasible = True
         for vid, up, down, tang in families:
             opts = []
-            tang_set = _couplings(assign[e] for e in tang)
-            for tu in sorted(_couplings(assign[e] for e in up)):
-                for td in sorted(_couplings(assign[e] for e in down)):
+            tang_set = {J.twice for J in total_spins([spins[e] for e in tang])}
+            for tu in sorted(J.twice for J in total_spins([spins[e] for e in up])):
+                for td in sorted(J.twice for J in total_spins([spins[e] for e in down])):
                     for tud in range(abs(tu - td), tu + td + 1, 2):
                         if tud not in tang_set:
                             continue
@@ -550,8 +562,8 @@ def area_spectrum(graph: EmbeddedGraph, surface: Surface, max_spin) -> Spectrum:
                         opts.append(
                             (
                                 value,
-                                f"v{vid} ju={_fmt_twice(tu)} jd={_fmt_twice(td)}"
-                                f" jud={_fmt_twice(tud)}",
+                                f"v{vid} ju={HalfInt(tu)} jd={HalfInt(td)}"
+                                f" jud={HalfInt(tud)}",
                             )
                         )
             if not opts:
@@ -673,7 +685,7 @@ def volume_spectrum(
     samples = []
     for assign in itertools.product(range(tmax + 1), repeat=n_edges):
         spins = [HalfInt(t) for t in assign]
-        prefix = " ".join(f"e{e}={_fmt_twice(t)}" for e, t in enumerate(assign))
+        prefix = " ".join(f"e{e}={j}" for e, j in enumerate(spins))
         options = []
         feasible = True
         for v in verts:
@@ -736,26 +748,29 @@ class Spectrum:
 
     @staticmethod
     def from_samples(samples) -> "Spectrum":
-        """Group (value, count, label) samples by value rounded to 1e-12.
+        """Group (value, count, label) samples whose values lie within
+        SPECTRUM_TOL of the smallest value in their group.
 
-        The first label encountered for a value is kept as representative.
+        Each group keeps the value and label of its first sample in sample
+        order; a kept value within SPECTRUM_TOL of zero is reported by its
+        magnitude, so -0.0 and negative rounding noise read as zero-like.
         """
-        buckets: dict[float, list] = {}
-        for value, count, label in samples:
-            value = float(value)
-            key = round(value, 12)
-            if key == 0.0:
-                key = 0.0  # fold -0.0
-                value = abs(value)
-            if key in buckets:
-                buckets[key][1] += count
+        samples = [(float(v), count, label) for v, count, label in samples]
+        groups: list[list] = []  # [smallest value, first sample index, total count]
+        for i in sorted(range(len(samples)), key=lambda i: samples[i][0]):
+            value, count, _ = samples[i]
+            if groups and value - groups[-1][0] <= SPECTRUM_TOL:
+                groups[-1][1] = min(groups[-1][1], i)
+                groups[-1][2] += count
             else:
-                buckets[key] = [value, count, label]
-        entries = tuple(
-            SpectrumEntry(v, m, lab)
-            for v, m, lab in sorted(buckets.values(), key=lambda t: t[0])
-        )
-        return Spectrum(entries)
+                groups.append([value, i, count])
+        entries = []
+        for _, first, count in groups:
+            value, _, label = samples[first]
+            if abs(value) <= SPECTRUM_TOL:
+                value = abs(value)
+            entries.append(SpectrumEntry(value, count, label))
+        return Spectrum(tuple(sorted(entries, key=lambda e: e.value)))
 
     @property
     def values(self) -> tuple:

@@ -228,6 +228,8 @@ class GroupElement:
         alpha = 0.5 * (m[0, 0] + np.conj(m[1, 1]))
         beta = 0.5 * (m[0, 1] - np.conj(m[1, 0]))
         norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+        if not math.isfinite(norm):  # a NaN or infinite entry reaches alpha or beta
+            raise ValueError("matrix entries must be finite to renormalize into SU(2)")
         if norm < 1e-12:
             raise ValueError("matrix is too singular to renormalize into SU(2)")
         alpha, beta = alpha / norm, beta / norm

@@ -332,3 +332,53 @@ def test_exit_on_numerical_failure(monkeypatch, capsys, exc):
     err = capsys.readouterr().err
     assert code == 1
     assert str(exc) in err and "Traceback" not in err
+
+
+FLUX_STAR = (FIXTURES / "flux_star.yaml").read_text()
+
+
+@pytest.mark.parametrize(
+    "field, old, new",
+    [
+        ("edges", FLUX_STAR[FLUX_STAR.index("edges:"):FLUX_STAR.index("surfaces:")], "edges: 5\n"),
+        (
+            "surfaces",
+            FLUX_STAR[FLUX_STAR.index("surfaces:"):FLUX_STAR.index("smearings:")],
+            "surfaces: 5\n",
+        ),
+        ("states[0].edges", FLUX_STAR[FLUX_STAR.index("  - edges:"):], "  - edges: 3\n"),
+    ],
+    ids=["edges", "surfaces", "state-edges"],
+)
+def test_exit_on_wrong_shape(tmp_path, capsys, field, old, new):
+    # each of these used to end in a TypeError traceback
+    doc = tmp_path / "shape.yaml"
+    doc.write_text(FLUX_STAR.replace(old, new))
+    code, text = run_cli(tmp_path, "--command", "commutator-check", "--input", str(doc))
+    err = capsys.readouterr().err
+    assert code == 1 and text == ""
+    assert f"{field}: expected a list" in err and "Traceback" not in err
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# the seven command lines of the README; golden/<command>.csv holds the stdout
+README_COMMANDS = [
+    ["--command", "area-spectrum", "--input", "one_crossing.yaml", "--max-spin", "2"],
+    ["--command", "volume-spectrum", "--input", "star4.yaml", "--max-spin", "1",
+     "--gamma", "0.2375"],
+    ["--command", "flux-matrix", "--input", "kinked_crossing.yaml"],
+    ["--command", "inner-product", "--input", "theta.yaml", "--samples", "100000",
+     "--seed", "7"],
+    ["--command", "holonomy", "--input", "holonomy_line.yaml"],
+    ["--command", "commutator-check", "--input", "flux_star.yaml"],
+    ["--command", "basis-enum", "--input", "theta.yaml", "--max-spin", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: argv[1])
+def test_readme_commands_match_golden_output(capsys, argv):
+    argv = list(argv)
+    argv[3] = str(FIXTURES / argv[3])
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{argv[1]}.csv").read_text()

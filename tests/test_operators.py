@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from spinnet import cyl
 from spinnet.graphs import EmbeddedGraph, Surface, punctures
 from spinnet.su2 import HalfInt, angular_momentum, haar_sample, wigner
 from spinnet.cyl import (
@@ -516,6 +517,22 @@ def test_spectrum_from_samples_groups_and_sorts():
     assert math.copysign(1.0, spec.entries[0].value) == 1.0  # -0.0 folded
 
 
+def test_spectrum_from_samples_clusters_across_rounding_boundary():
+    # lo and hi are adjacent doubles on either side of the point near
+    # 0.5 + 5e-13 where round(v, 12) steps from 0.5 to 0.500000000001
+    x = 0.5 + 5e-13
+    while round(x, 12) != 0.5:
+        x = math.nextafter(x, 0.0)
+    while round(math.nextafter(x, 1.0), 12) == 0.5:
+        x = math.nextafter(x, 1.0)
+    lo, hi = x, math.nextafter(x, 1.0)
+    assert round(lo, 12) != round(hi, 12)
+    spec = Spectrum.from_samples([(hi, 1, "hi"), (lo, 2, "lo")])
+    assert [(e.value, e.multiplicity, e.labels) for e in spec] == [(hi, 3, "hi")]
+    apart = Spectrum.from_samples([(0.5 + 2e-12, 1, "b"), (0.5, 1, "a")])
+    assert [e.labels for e in apart] == ["a", "b"]
+
+
 def test_spectrum_validation():
     from spinnet.operators import SpectrumEntry
 
@@ -523,3 +540,45 @@ def test_spectrum_validation():
         Spectrum((SpectrumEntry(1.0, 1, "x"), SpectrumEntry(0.5, 1, "y")))
     with pytest.raises(ValueError):
         Spectrum((SpectrumEntry(0.0, 0, "x"),))
+
+
+# ---------------------------------------------------------------------------
+# labels are validated once, by the public constructor
+
+
+def test_internal_results_skip_label_checks_and_rebuild_equal(monkeypatch):
+    line = monomial(line_graph(), [(1, 1, -1)])
+    other = monomial(line_graph(), [(HALF, HALF, -HALF)])
+    split = punctures(line_graph(), Z_PATCH).refinement
+    same = punctures(star3_graph(), X_PATCH).refinement
+    assert not split.is_identity() and same.is_identity()
+    F1 = FluxSpec(Z_PATCH, [0.3, -0.2, 0.9])
+    F2 = FluxSpec(X_PATCH, [0.1, 0.7, -0.4])
+    checked = []
+    monkeypatch.setattr(cyl, "_check_label", lambda lab: checked.append(lab))
+    state = states_for_spins(star3_graph(), [HALF, 1, HALF], gauge_invariant=False)[5]
+    results = {
+        "prune": (line + other).prune(),
+        "add": line + other,
+        "sub": line - other,
+        "scale": np.float64(2.5) * line,
+        "promote": promote(line, split),
+        "promote identity": promote(state.fun, same),
+        "states_for_spins": state.fun,
+        "flux_apply": flux_apply(F1, state.fun),
+        "closed form": flux_commutator_closed_form(F1, F2, state.fun),
+        "area_apply": area_apply(Z_PATCH, state),
+    }
+    assert checked == []
+    monkeypatch.undo()
+    for name, fun in results.items():
+        assert fun.n_terms > 0, name
+        assert all(type(c) is complex for c in fun.coefficients.values()), name
+        assert CylFun(fun.graph, fun.coefficients).coefficients == fun.coefficients, name
+
+
+def test_area_apply_rejects_mismatched_spins():
+    psi = states_for_spins(star3_graph(), [HALF, HALF, 1], gauge_invariant=False)[0]
+    wrong = type(psi)(psi.fun, (HalfInt(2), HalfInt(1), HalfInt(2)), psi.vertex_labels, False)
+    with pytest.raises(ValueError, match="edge 0 carries spin 1/2, expected 1"):
+        area_apply(Z_PATCH, wrong)

@@ -83,6 +83,17 @@ def test_group_element_projects_and_validates():
         GroupElement(np.ones((3, 3)))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_group_element_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        GroupElement(np.full((2, 2), bad))
+    m = np.eye(2, dtype=complex)
+    m[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        GroupElement(m, check=False)
+
+
 def test_su2_exp_batched_matches_scalar():
     v = np.random.default_rng(5).normal(scale=1.5, size=(4, 5, 3))
     v[0, 0] = 0.0  # the sinc limit at the identity
