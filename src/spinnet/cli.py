@@ -17,9 +17,9 @@ ill-posedness.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,7 +32,6 @@ from .cyl import (
     holonomy,
     inner_product,
     mc_inner_product,
-    spin_network_basis,
     states_for_spins,
 )
 from .graphs import (
@@ -391,14 +390,17 @@ def _cmd_commutator_check(doc, graph, config, path):
 
 def _cmd_basis_enum(doc, graph, config, path):
     gauge = bool(doc.get("gauge_invariant", True))
-    if config.max_spin.twice < 1:
+    tmax = config.max_spin.twice
+    if tmax < 1:
         raise ParseError("--max-spin", "must be at least 1 (twice-value)")
-    counts = Counter(s.spins for s in spin_network_basis(graph, config.max_spin, gauge))
-    rows = [
-        (float(n), 1, " ".join(f"e{e}={j}" for e, j in enumerate(spins)))
-        for spins, n in counts.items()
-    ]
-    rows.append((float(counts.total()), 1, "total states"))
+    # count one spin assignment at a time, so only its states are held at once
+    rows = []
+    for twice in itertools.product(range(1, tmax + 1), repeat=graph.n_edges):
+        spins = [HalfInt(t) for t in twice]
+        n = len(states_for_spins(graph, spins, gauge))
+        if n:
+            rows.append((float(n), 1, " ".join(f"e{e}={j}" for e, j in enumerate(spins))))
+    rows.append((sum(n for n, _, _ in rows), 1, "total states"))
     return rows
 
 

@@ -477,8 +477,6 @@ def promote(fun: CylFun, refinement: RefinementMap) -> CylFun:
     The coefficient rescaling (2j+1)^{(1-L)/2} keeps the normalized-monomial
     coefficients, and hence all inner products, exactly intact.
     """
-    if refinement.is_identity():  # every chain has length 1: labels stay as they are
-        return CylFun._trusted(refinement.fine, fun.coefficients).prune()
     n_fine = refinement.fine.n_edges
     out: dict[Labels, complex] = {}
     for labels, coeff in fun.coefficients.items():

@@ -139,38 +139,24 @@ def _slot_action(coeffs, slots, columns_for, acc: dict) -> None:
     """
     out: dict = {}
     tables: dict = {}
-    if len(slots) == 1:  # the flux hot path: relabel one slot by slicing
-        ((e, away),) = slots
-        for labels, coef in coeffs.items():
-            tj, tm, tn = labels[e]
-            table = tables.get(tj)
-            if table is None:
-                table = tables[tj] = columns_for((tj,))
-            if not table:
-                continue
-            head, tail = labels[:e], labels[e + 1 :]
-            for (mag,), v in table[(tj - (tn if away else tm)) // 2]:
-                key = head + ((tj, tm, mag) if away else (tj, mag, tn),) + tail
-                out[key] = out.get(key, 0j) + coef * v
-    else:
-        for labels, coef in coeffs.items():
-            tjs = tuple(labels[e][0] for e, _ in slots)
-            table = tables.get(tjs)
-            if table is None:
-                table = tables[tjs] = columns_for(tjs)
-            if not table:
-                continue
-            col = 0
-            for (e, away), tj in zip(slots, tjs):
-                _, tm, tn = labels[e]
-                col = col * (tj + 1) + (tj - (tn if away else tm)) // 2
-            for mags, v in table[col]:
-                new = list(labels)
-                for (e, away), mag in zip(slots, mags):
-                    tj, tm, tn = new[e]
-                    new[e] = (tj, tm, mag) if away else (tj, mag, tn)
-                key = tuple(new)
-                out[key] = out.get(key, 0j) + coef * v
+    for labels, coef in coeffs.items():
+        tjs = tuple(labels[e][0] for e, _ in slots)
+        table = tables.get(tjs)
+        if table is None:
+            table = tables[tjs] = columns_for(tjs)
+        if not table:
+            continue
+        col = 0
+        for (e, away), tj in zip(slots, tjs):
+            _, tm, tn = labels[e]
+            col = col * (tj + 1) + (tj - (tn if away else tm)) // 2
+        for mags, v in table[col]:
+            new = list(labels)
+            for (e, away), mag in zip(slots, mags):
+                tj, tm, tn = new[e]
+                new[e] = (tj, tm, mag) if away else (tj, mag, tn)
+            key = tuple(new)
+            out[key] = out.get(key, 0j) + coef * v
     for key, v in out.items():
         acc[key] = acc.get(key, 0j) + v
 
