@@ -321,9 +321,18 @@ def _cmd_area_spectrum(doc, graph, config, path):
     return _spectrum_rows(spec, 4.0 * math.pi * config.gamma)
 
 
-def _cmd_volume_spectrum(doc, graph, config, path):
+def _region(doc: dict, path: str):
     region = doc.get("region", "all")
-    spec = volume_spectrum(graph, region, config.max_spin, c=config.c)
+    if region == "all" or (
+        isinstance(region, list)
+        and all(isinstance(v, int) and not isinstance(v, bool) for v in region)
+    ):
+        return region
+    raise ParseError(f"{path}: region", f"expected 'all' or a list of vertex ids, got {region!r}")
+
+
+def _cmd_volume_spectrum(doc, graph, config, path):
+    spec = volume_spectrum(graph, _region(doc, path), config.max_spin, c=config.c)
     return _spectrum_rows(spec, (8.0 * math.pi * config.gamma) ** 1.5)
 
 

@@ -468,6 +468,27 @@ def wilson_loop(j, polyline, connection: Connection) -> complex:
 # promotion and inner products
 
 
+def _chain_expansion(chain, tj: int, tm: int, tn: int) -> list:
+    """Terms of D^j_{mn} along one chain of fine edges: (scale * sign,
+    [(fine id, fine label), ...]) per run of intermediate magnetic labels."""
+    L = len(chain)
+    scale = (tj + 1) ** (0.5 * (1 - L))
+    expanded = []
+    for mid in itertools.product(range(-tj, tj + 1, 2), repeat=L - 1):
+        seq = (tn,) + mid + (tm,)
+        sign = 1.0
+        assign = []
+        for k, (fid, s) in enumerate(chain):
+            lo, hi = seq[k], seq[k + 1]  # this factor is D_{hi, lo}
+            if s == 1:
+                assign.append((fid, (tj, hi, lo)))
+            else:
+                sign *= (-1.0) ** ((lo - hi) // 2)
+                assign.append((fid, (tj, -lo, -hi)))
+        expanded.append((scale * sign, assign))
+    return expanded
+
+
 def promote(fun: CylFun, refinement: RefinementMap) -> CylFun:
     """Re-express a function on the refined graph.
 
@@ -475,41 +496,32 @@ def promote(fun: CylFun, refinement: RefinementMap) -> CylFun:
     D(h_L ... h_1)_{mn} = sum D(h_L)_{m a} ... D(h_1)_{b n}, with reversed
     chain entries rewritten through D(h^{-1})_{rc} = (-1)^{c-r} D(h)_{-c,-r}.
     The coefficient rescaling (2j+1)^{(1-L)/2} keeps the normalized-monomial
-    coefficients, and hence all inner products, exactly intact.
+    coefficients, and hence all inner products, exactly intact.  Each
+    (coarse edge, label) pair is expanded once per call.
     """
+    fids = [fid for chain in refinement.chains.values() for fid, _ in chain]
+    if len(set(fids)) != len(fids):
+        raise ValueError("refinement chains overlap on a fine edge")
     n_fine = refinement.fine.n_edges
+    table: dict[tuple[int, Label], list] = {}
     out: dict[Labels, complex] = {}
     for labels, coeff in fun.coefficients.items():
-        partial: list[tuple[complex, dict[int, Label]]] = [(complex(coeff), {})]
-        for ce, (tj, tm, tn) in enumerate(labels):
-            if tj == 0:
+        entries = []
+        for ce, lab in enumerate(labels):
+            if lab[0] == 0:
                 continue
-            chain = refinement.chains[ce]
-            L = len(chain)
-            scale = (tj + 1) ** (0.5 * (1 - L))
-            mags = range(-tj, tj + 1, 2)
-            expanded: list[tuple[complex, dict[int, Label]]] = []
-            for mid in itertools.product(mags, repeat=L - 1):
-                seq = (tn,) + tuple(mid) + (tm,)
-                sign = 1.0
-                assign: dict[int, Label] = {}
-                for k, (fid, s) in enumerate(chain):
-                    lo, hi = seq[k], seq[k + 1]  # this factor is D_{hi, lo}
-                    if s == 1:
-                        assign[fid] = (tj, hi, lo)
-                    else:
-                        sign *= (-1.0) ** ((lo - hi) // 2)
-                        assign[fid] = (tj, -lo, -hi)
-                expanded.append((scale * sign, assign))
-            merged = []
-            for c0, d0 in partial:
-                for c1, d1 in expanded:
-                    if d0.keys() & d1.keys():
-                        raise ValueError("refinement chains overlap on a fine edge")
-                    merged.append((c0 * c1, {**d0, **d1}))
-            partial = merged
-        for c, d in partial:
-            key = tuple(d.get(f, TRIVIAL) for f in range(n_fine))
+            expanded = table.get((ce, lab))
+            if expanded is None:
+                expanded = table[ce, lab] = _chain_expansion(refinement.chains[ce], *lab)
+            entries.append(expanded)
+        for combo in itertools.product(*entries):
+            c = complex(coeff)
+            fine = [TRIVIAL] * n_fine
+            for factor, assign in combo:
+                c = c * factor
+                for fid, flab in assign:
+                    fine[fid] = flab
+            key = tuple(fine)
             out[key] = out.get(key, 0j) + c
     return CylFun._trusted(refinement.fine, out).prune()
 

@@ -93,9 +93,14 @@ class Edge:
 
 
 class EmbeddedGraph:
-    """Vertices plus oriented polyline edges in one chart of R^3."""
+    """Vertices plus oriented polyline edges in one chart of R^3.
 
-    __slots__ = ("vertices", "edges")
+    A graph is immutable: the vertex and polyline arrays are read-only and
+    ``edges`` is a tuple of frozen ``Edge``s.  That is what lets
+    ``ensure_valid`` remember, in ``_valid``, that a graph passed.
+    """
+
+    __slots__ = ("vertices", "edges", "_valid")
 
     def __init__(self, vertices, edges: Iterable[Edge]):
         verts = np.array(vertices, dtype=float)
@@ -107,6 +112,7 @@ class EmbeddedGraph:
         for e in self.edges:
             if not (0 <= e.start < len(verts) and 0 <= e.end < len(verts)):
                 raise ValueError(f"edge endpoints {e.start}->{e.end} out of range")
+        self._valid = False
 
     @property
     def n_vertices(self) -> int:
@@ -392,9 +398,17 @@ def validate(graph: EmbeddedGraph) -> list[ValidationIssue]:
 
 
 def ensure_valid(graph: EmbeddedGraph) -> None:
+    """Raise ``InvalidGraphError`` unless ``validate`` reports no issue.
+
+    A clean result is remembered on the (immutable) graph, so later calls
+    return at once; a failure is not remembered and is raised on every call.
+    """
+    if graph._valid:
+        return
     issues = validate(graph)
     if issues:
         raise InvalidGraphError(issues)
+    graph._valid = True
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .cyl import CylFun, SpinNetworkState, graphs_equal, gram, promote
-from .cyl import _dot, _dressed_intertwiner_tensors
+from .cyl import _dressed_intertwiner_tensors
 from .graphs import (
     EmbeddedGraph,
     Puncture,
@@ -235,17 +235,25 @@ def _operator_matrix(funs: Sequence[CylFun], refinement, image) -> np.ndarray:
 
     ``image`` maps a coefficient dict on the refined graph to the operator's
     image there.  Promotion is an isometry, so matrix elements are taken
-    between the promoted functions.  The raw matrix is checked to be
+    between the promoted functions, one image column at a time through an
+    index from label to basis rows.  The raw matrix is checked to be
     Hermitian to HERMITICITY_TOL and returned exactly Hermitian.
     """
     _check_orthonormal(funs)
     proms = [promote(f, refinement).coefficients for f in funs]
-    images = [image(c) for c in proms]
+    rows: dict = {}  # label -> [(row i, conjugated coefficient)]
+    for i, coeffs in enumerate(proms):
+        for lab, a in coeffs.items():
+            rows.setdefault(lab, []).append((i, a.conjugate()))
     n = len(funs)
     mat = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            mat[i, j] = _dot(proms[i], images[j])
+    for j, coeffs in enumerate(proms):
+        column: dict[int, complex] = {}
+        for lab, b in image(coeffs).items():
+            for i, ca in rows.get(lab, ()):
+                column[i] = column.get(i, 0j) + ca * b
+        for i, v in column.items():
+            mat[i, j] = v
     dev = np.max(np.abs(mat - mat.conj().T))
     if dev > HERMITICITY_TOL:
         raise ArithmeticError(f"operator matrix failed the Hermiticity check: {dev:.3e}")

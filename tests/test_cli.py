@@ -360,6 +360,21 @@ def test_exit_on_wrong_shape(tmp_path, capsys, field, old, new):
     assert f"{field}: expected a list" in err and "Traceback" not in err
 
 
+STAR4 = (FIXTURES / "star4.yaml").read_text()
+
+
+@pytest.mark.parametrize("region", ["5", "[0.5]", "[true]"], ids=["int", "float", "bool"])
+def test_exit_on_bad_region(tmp_path, capsys, region):
+    # `5` used to end in a TypeError traceback; `[0.5]` and `[true]` silently
+    # ran vertex 0 and vertex 1
+    doc = tmp_path / "region.yaml"
+    doc.write_text(STAR4.replace("region: [0]", f"region: {region}"))
+    code, text = run_cli(tmp_path, "--command", "volume-spectrum", "--input", str(doc))
+    err = capsys.readouterr().err
+    assert code == 1 and text == ""
+    assert "region: expected 'all' or a list of vertex ids" in err and "Traceback" not in err
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # the seven command lines of the README; golden/<command>.csv holds the stdout

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinnet.graphs import EmbeddedGraph, common_refinement, subdivide
+from spinnet.graphs import (
+    EmbeddedGraph,
+    RefinementMap,
+    common_refinement,
+    subdivide,
+    subdivide_many,
+)
 from spinnet.su2 import GroupElement, HalfInt, haar_sample, multiply, wigner
 from spinnet.cyl import (
     Connection,
@@ -29,7 +35,7 @@ from spinnet.cyl import (
     transform_at_vertices,
     wilson_loop,
 )
-from spinnet.cyl import _holonomy_steps
+from spinnet.cyl import TRIVIAL, _holonomy_steps
 
 V = np.array
 RNG = np.random.default_rng(11)
@@ -48,6 +54,12 @@ def theta_graph():
             (0, 1, V([[0.0, 0.0, 0.0], [0.5, 0.7, 0.0], [1.0, 0.0, 0.0]])),
             (0, 1, V([[0.0, 0.0, 0.0], [0.5, 0.0, 0.7], [1.0, 0.0, 0.0]])),
         ],
+    )
+
+
+def kink_graph():
+    return EmbeddedGraph.build(
+        V([[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 1.0]]), [(0, 1), (1, 2)]
     )
 
 
@@ -204,6 +216,122 @@ def test_reversed_edge_identification():
     f = monomial(a, [(HALF, HALF, HALF)])
     gfun = monomial(b, [(HALF, -HALF, -HALF)])
     assert abs(inner_product(f, gfun) - 1.0) < 1e-13
+
+
+def _promote_reference(fun, refinement):
+    """Term-by-term chain expansion with pairwise dict merges: the reference
+    that ``promote`` must reproduce bit for bit, insertion order included."""
+    n_fine = refinement.fine.n_edges
+    out = {}
+    for labels, coeff in fun.coefficients.items():
+        partial = [(complex(coeff), {})]
+        for ce, (tj, tm, tn) in enumerate(labels):
+            if tj == 0:
+                continue
+            chain = refinement.chains[ce]
+            L = len(chain)
+            scale = (tj + 1) ** (0.5 * (1 - L))
+            expanded = []
+            for mid in itertools.product(range(-tj, tj + 1, 2), repeat=L - 1):
+                seq = (tn,) + tuple(mid) + (tm,)
+                sign = 1.0
+                assign = {}
+                for k, (fid, s) in enumerate(chain):
+                    lo, hi = seq[k], seq[k + 1]
+                    if s == 1:
+                        assign[fid] = (tj, hi, lo)
+                    else:
+                        sign *= (-1.0) ** ((lo - hi) // 2)
+                        assign[fid] = (tj, -lo, -hi)
+                expanded.append((scale * sign, assign))
+            partial = [(c0 * c1, {**d0, **d1}) for c0, d0 in partial for c1, d1 in expanded]
+        for c, d in partial:
+            key = tuple(d.get(f, TRIVIAL) for f in range(n_fine))
+            out[key] = out.get(key, 0j) + c
+    return {l: c for l, c in out.items() if abs(c) > 1e-15}
+
+
+def _reversed_edges(graph, flips):
+    return EmbeddedGraph.build(
+        graph.vertices,
+        [
+            (e.end, e.start, e.polyline[::-1]) if k in flips else (e.start, e.end, e.polyline)
+            for k, e in enumerate(graph.edges)
+        ],
+    )
+
+
+def _split_events(graph, fractions):
+    """One split point per (edge, fraction of the straight edge)."""
+    out = []
+    for e, ts in enumerate(fractions):
+        a, b = graph.vertices[graph.edges[e].start], graph.vertices[graph.edges[e].end]
+        out.extend((e, a + t * (b - a)) for t in ts)
+    return out
+
+
+@st.composite
+def _edge_labels(draw, n_edges):
+    labels = []
+    for _ in range(n_edges):
+        tj = draw(st.integers(0, 2))
+        tm = 2 * draw(st.integers(0, tj)) - tj
+        tn = 2 * draw(st.integers(0, tj)) - tj
+        labels.append((tj, tm, tn))
+    return tuple(labels)
+
+
+@st.composite
+def _promotion_cases(draw):
+    """A random function on a kink or star graph, and a refinement map of it:
+    either a subdivision, or the map into the common refinement with a
+    subdivided copy whose reversed edges give chains of sign -1."""
+    graph = draw(st.sampled_from([kink_graph(), star4_graph()]))
+    n = graph.n_edges
+    fractions = [
+        draw(st.lists(st.sampled_from([0.3, 0.6]), unique=True, max_size=2)) for _ in range(n)
+    ]
+    events = _split_events(graph, fractions)
+    if draw(st.booleans()):
+        flips = draw(st.sets(st.integers(0, n - 1)))
+        other, _ = subdivide_many(_reversed_edges(graph, flips), events)
+        _, _, rmap = common_refinement(other, graph)
+    else:
+        _, rmap = subdivide_many(graph, events)
+    coeffs = draw(
+        st.dictionaries(
+            _edge_labels(n),
+            st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return CylFun(graph, coeffs), rmap
+
+
+@settings(max_examples=60, deadline=None)
+@given(_promotion_cases())
+def test_promote_matches_term_by_term_expansion(case):
+    fun, rmap = case
+    got = list(promote(fun, rmap).coefficients.items())
+    assert got == list(_promote_reference(fun, rmap).items())
+
+
+def test_promote_reversed_chain_matches_term_by_term_expansion():
+    g = kink_graph()
+    other, _ = subdivide_many(_reversed_edges(g, {0}), _split_events(g, [[0.3, 0.6], [0.6]]))
+    _, _, rmap = common_refinement(other, g)
+    assert len(rmap.chains[0]) == 3 and {s for _, s in rmap.chains[0]} == {-1}
+    fun = CylFun(g, {((2, 0, 2), (1, -1, 1)): 0.8 - 0.1j, ((1, 1, -1), (2, -2, 0)): 0.6j})
+    got = list(promote(fun, rmap).coefficients.items())
+    assert got == list(_promote_reference(fun, rmap).items())
+
+
+def test_promote_rejects_overlapping_chains():
+    g = kink_graph()
+    rmap = RefinementMap(g, g, {0: ((0, 1),), 1: ((0, 1),)})
+    with pytest.raises(ValueError, match="refinement chains overlap on a fine edge"):
+        promote(monomial(g, [(HALF, HALF, HALF), (HALF, HALF, -HALF)]), rmap)
 
 
 # ---------------------------------------------------------------------------

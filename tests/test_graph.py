@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spinnet import graphs
 from spinnet.graphs import (
     EmbeddedGraph,
     IllPosedIntersectionError,
@@ -57,6 +58,30 @@ def test_crossing_edges_flagged():
     )
     with pytest.raises(InvalidGraphError):
         ensure_valid(g)  # interiors intersect away from any shared vertex
+
+
+def test_validation_is_remembered_only_when_clean(monkeypatch):
+    calls = []
+    validate = graphs.validate
+
+    def counted(graph):
+        calls.append(graph)
+        return validate(graph)
+
+    monkeypatch.setattr(graphs, "validate", counted)
+    g = line_graph()
+    for _ in range(3):
+        assert len(punctures(g, square_patch()).punctures) == 1
+    assert len(calls) == 1
+
+    crossing = EmbeddedGraph.build(
+        V([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 1.0, 0.0]]),
+        [(0, 1), (2, 3)],
+    )
+    for n in (2, 3, 4):
+        with pytest.raises(InvalidGraphError):
+            punctures(crossing, square_patch(z=0.5))
+        assert len(calls) == n
 
 
 def test_outgoing_tangents_unit():

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spinnet import cyl
+from spinnet import cyl, operators
 from spinnet.graphs import EmbeddedGraph, Surface, punctures
 from spinnet.su2 import HalfInt, angular_momentum, haar_sample, wigner
 from spinnet.cyl import (
@@ -180,6 +180,55 @@ def test_flux_matrix_requires_orthonormal_basis():
     b = monomial(g, [(HALF, HALF, -HALF)])
     with pytest.raises(ValueError, match="orthonormal"):
         flux_matrix(FluxSpec(Z_PATCH, V([0, 0, 1.0])), [a, a + b])
+
+
+def melon_graph():
+    """Two vertices joined by four arcs: gauge-invariant states of four
+    spin-1/2 edges span a 2 x 2 intertwiner space, 16-24 terms each."""
+    return EmbeddedGraph.build(
+        V([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+        [
+            (0, 1, V([[0.0, 0.0, 0.0], [0.5, 0.7, 0.0], [1.0, 0.0, 0.0]])),
+            (0, 1, V([[0.0, 0.0, 0.0], [0.5, -0.7, 0.0], [1.0, 0.0, 0.0]])),
+            (0, 1, V([[0.0, 0.0, 0.0], [0.5, 0.0, 0.7], [1.0, 0.0, 0.0]])),
+            (0, 1, V([[0.0, 0.0, 0.0], [0.5, 0.0, -0.7], [1.0, 0.0, 0.0]])),
+        ],
+    )
+
+
+def _dot_matrix(funs, refinement, image):
+    """Reference operator matrix: one coefficient dot per entry."""
+    proms = [promote(f, refinement).coefficients for f in funs]
+    images = [image(c) for c in proms]
+    mat = np.array([[cyl._dot(p, q) for q in images] for p in proms])
+    return (mat + mat.conj().T) / 2.0
+
+
+@pytest.mark.parametrize(
+    "basis, surface",
+    [
+        (states_for_spins(star3_graph(), [HALF, 1, HALF], gauge_invariant=False), X_PATCH),
+        (
+            states_for_spins(melon_graph(), [HALF] * 4),
+            patch([0.25, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]),
+        ),
+    ],
+    ids=["extended-star3", "invariant-melon"],
+)
+def test_operator_matrices_match_entrywise_dots(basis, surface):
+    funs = [b.fun for b in basis]
+    pr = punctures(funs[0].graph, surface)
+    assert pr.punctures and len(basis) in (144, 4)
+    F = FluxSpec(surface, V([0.4, -0.7, 0.3]))
+    flux = flux_matrix(F, basis)
+    area = area_matrix(surface, basis)
+    flux_ref = _dot_matrix(funs, pr.refinement, lambda c: operators._flux_image(pr, F, c))
+    area_ref = _dot_matrix(funs, pr.refinement, operators._area_image(pr, basis[0].spins))
+    # the flux compresses to zero on gauge-invariant states (a vector
+    # operator between scalars), the area does not
+    assert np.max(np.abs(area_ref)) > 1.0
+    assert np.max(np.abs(flux - flux_ref)) <= 1e-14
+    assert np.max(np.abs(area - area_ref)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
