@@ -31,6 +31,7 @@ The command-line layer applies the physical prefactors.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence, Union
@@ -75,16 +76,6 @@ HERMITICITY_TOL = 1e-12
 ORTHONORMALITY_TOL = 1e-10
 VOLUME_ZERO_CLIP = 1e-12
 SPECTRUM_TOL = 1e-12
-
-#: (i, j, k, sign) for every nonzero entry of the Levi-Civita symbol.
-_LEVI = (
-    (0, 1, 2, 1.0),
-    (1, 2, 0, 1.0),
-    (2, 0, 1, 1.0),
-    (0, 2, 1, -1.0),
-    (2, 1, 0, -1.0),
-    (1, 0, 2, -1.0),
-)
 
 
 def _is_away(direction: str) -> bool:
@@ -588,6 +579,37 @@ class VolumeVertexOperator:
     basis_labels: tuple = ()
 
 
+def _on_slot(mat: np.ndarray, stack: np.ndarray, slot: int) -> np.ndarray:
+    """Apply ``mat`` to tensor axis ``slot`` of a C-contiguous basis stack.
+
+    The contraction runs as one batched matmul on a (left, d, right) view,
+    which needs no axis moves or copies, and returns a C-contiguous stack.
+    """
+    shape = stack.shape
+    left = math.prod(shape[:slot])
+    return np.matmul(mat, stack.reshape(left, shape[slot], -1)).reshape(shape)
+
+
+def _triple_sum(stack: np.ndarray, gens, tvecs) -> np.ndarray:
+    """sum over slots a < b < c of eps(t_a, t_b, t_c) J^a . (J^b x J^c),
+    applied to a basis stack one slot generator at a time."""
+    q = np.zeros_like(stack)
+    for c in range(2, len(gens)):
+        jc = [_on_slot(g, stack, c) for g in gens[c]]
+        for b in range(1, c):
+            eps = [(a, tangent_orientation(tvecs[a], tvecs[b], tvecs[c])) for a in range(b)]
+            eps = [(a, e) for a, e in eps if e != 0]
+            if not eps:
+                continue
+            for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+                # (J^b x J^c)_i B = eps_{ijk} J^b_j J^c_k B
+                cross = _on_slot(gens[b][j], jc[k], b)
+                cross -= _on_slot(gens[b][k], jc[j], b)
+                for a, e in eps:
+                    (np.add if e > 0 else np.subtract)(q, _on_slot(gens[a][i], cross, a), out=q)
+    return q
+
+
 def volume_vertex_matrix(
     graph: EmbeddedGraph,
     vertex: int,
@@ -597,14 +619,20 @@ def volume_vertex_matrix(
 ) -> VolumeVertexOperator:
     """qhat_v = sum over ordered half-edge triples of eps(t1,t2,t3) eps_{ijk} J J J.
 
-    Repeated half-edges drop out through the orientation sign, so the sum
-    effectively runs over triples of distinct half-edges; for a vertex without
-    loops this is the ordered-triple sum over distinct incident edges.  Spin-0
-    edges are omitted.  With ``gauge_invariant`` the matrix is compressed onto
-    the orthonormal dressed-intertwiner basis at the vertex (an empty basis
-    yields a 0x0 matrix); otherwise the full slot-space matrix is returned.
-    ``tangents`` optionally overrides outgoing tangent vectors per
-    (edge, direction) pair.
+    Generators on distinct slots commute, so the six orderings of a triple
+    give equal terms and the sum runs over unordered triples a < b < c
+    times 6 eps(t_a, t_b, t_c).  Repeated half-edges drop out through the
+    orientation sign; for a vertex without loops the triples are those of
+    distinct incident edges.  Spin-0 edges are omitted.
+
+    No generator is embedded in the slot space by Kronecker products: each
+    is applied to its slot of a stack of basis tensors B, one tensor per
+    basis vector, and the result is B^dagger (q B), made exactly Hermitian.
+    With ``gauge_invariant`` B is the orthonormal dressed-intertwiner basis
+    at the vertex (an empty basis yields a 0x0 matrix before any generator
+    work); otherwise B is the identity on the slot space and the full
+    slot-space matrix is returned.  ``tangents`` optionally overrides
+    outgoing tangent vectors per (edge, direction) pair.
     """
     slots = [
         (e, d)
@@ -615,37 +643,32 @@ def volume_vertex_matrix(
         mat = np.zeros((1, 1))
         return VolumeVertexOperator(vertex, (), mat, gauge_invariant, ("trivial",))
     tjs = [HalfInt.of(spins[e]).twice for (e, _) in slots]
+    edges = tuple((e, d, tj) for (e, d), tj in zip(slots, tjs))
+    dims = tuple(tj + 1 for tj in tjs)
+    labels = ()
+    if gauge_invariant:
+        toward = [s for s, (_, d) in enumerate(slots) if d == "end"]
+        dressed = _dressed_intertwiner_tensors([HalfInt(tj) for tj in tjs], toward)
+        if not dressed:
+            return VolumeVertexOperator(vertex, edges, np.zeros((0, 0)), True)
+        stack = np.stack([t for _, t in dressed], axis=-1)
+        labels = tuple("(" + " ".join(str(x) for x in tree) + ")" for tree, _ in dressed)
+    else:
+        size = math.prod(dims)
+        stack = np.eye(size, dtype=complex).reshape(dims + (size,))
     tvecs = []
     for e, d in slots:
         if tangents is not None and (e, d) in tangents:
             tvecs.append(np.asarray(tangents[(e, d)], dtype=float))
         else:
             tvecs.append(outgoing_tangent(graph, e, d == "start"))
-    dims = [tj + 1 for tj in tjs]
-    size = int(np.prod(dims))
     gens = [_slot_generators(tj, d == "start") for tj, (_, d) in zip(tjs, slots)]
-    mat = np.zeros((size, size), dtype=complex)
-    for a, b, c in itertools.permutations(range(len(slots)), 3):
-        eps = tangent_orientation(tvecs[a], tvecs[b], tvecs[c])
-        if eps == 0:
-            continue
-        for i, j, k, sgn in _LEVI:
-            mat += (eps * sgn) * _kron_embed(
-                {a: gens[a][i], b: gens[b][j], c: gens[c][k]}, dims
-            )
+    q = _triple_sum(stack, gens, tvecs)
+    flat = stack.reshape(-1, stack.shape[-1])
+    mat = flat.conj().T @ q.reshape(flat.shape)
+    mat *= 6.0  # the six orderings of each triple, applied once
     mat = (mat + mat.conj().T) / 2.0
-    edges = tuple((e, d, tj) for (e, d), tj in zip(slots, tjs))
-    if not gauge_invariant:
-        return VolumeVertexOperator(vertex, edges, mat, False)
-    toward = [s for s, (_, d) in enumerate(slots) if d == "end"]
-    dressed = _dressed_intertwiner_tensors([HalfInt(tj) for tj in tjs], toward)
-    if not dressed:
-        return VolumeVertexOperator(vertex, edges, np.zeros((0, 0)), True)
-    basis = np.column_stack([t.reshape(-1) for _, t in dressed])
-    comp = basis.conj().T @ mat @ basis
-    comp = (comp + comp.conj().T) / 2.0
-    labels = tuple("(" + " ".join(str(x) for x in tree) + ")" for tree, _ in dressed)
-    return VolumeVertexOperator(vertex, edges, comp, True, labels)
+    return VolumeVertexOperator(vertex, edges, mat, gauge_invariant, labels)
 
 
 def volume_spectrum(

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -524,13 +525,19 @@ class CGBlock:
     matrix: np.ndarray  # shape (dim(j1) * dim(j2), dim(j))
 
 
-def clebsch_gordan(j1, j2) -> list[CGBlock]:
+def clebsch_gordan(j1, j2) -> tuple[CGBlock, ...]:
     """Decompose V_{j1} x V_{j2} into total-spin blocks |j1-j2| ... j1+j2.
 
     Each block's columns (ordered m = j ... -j) are orthonormal vectors in the
-    product space, indexed row-major by (m1, m2) both descending.
+    product space, indexed row-major by (m1, m2) both descending.  The blocks
+    are computed once per (j1, j2) and shared: their matrices are read-only.
     """
-    j1, j2 = HalfInt.of(j1), HalfInt.of(j2)
+    return _cg_blocks(HalfInt.of(j1).twice, HalfInt.of(j2).twice)
+
+
+@lru_cache(maxsize=None)
+def _cg_blocks(tj1: int, tj2: int) -> tuple[CGBlock, ...]:
+    j1, j2 = HalfInt(tj1), HalfInt(tj2)
     d1, d2 = _dim(j1), _dim(j2)
     blocks = []
     for j in spin_range(j1, j2):
@@ -544,7 +551,7 @@ def clebsch_gordan(j1, j2) -> list[CGBlock]:
                 mat[i1 * d2 + _mag_index(j2, m2), ci] = cg_coefficient(j1, m1, j2, m2, j, m)
         mat.flags.writeable = False
         blocks.append(CGBlock(j, mat))
-    return blocks
+    return tuple(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -586,10 +593,11 @@ def intertwiner_basis(spins: Iterable) -> IntertwinerBasis:
     for j in spins[1:]:
         nxt = []
         for acc, embed, tree in paths:
-            blocks = clebsch_gordan(acc, j)
-            grown = np.kron(embed, np.eye(_dim(j)))
-            for block in blocks:
-                nxt.append((block.j, grown @ block.matrix, tree + (block.j,)))
+            # (embed x identity) @ block, without forming the Kronecker product
+            for block in clebsch_gordan(acc, j):
+                rows = block.matrix.reshape(embed.shape[1], -1)
+                grown = (embed @ rows).reshape(-1, block.matrix.shape[1])
+                nxt.append((block.j, grown, tree + (block.j,)))
         paths = nxt
     zero = HalfInt(0)
     columns = [embed[:, 0] for acc, embed, tree in paths if acc == zero]

@@ -4,13 +4,16 @@ The heavier randomized batteries live in test_acceptance; these are the
 structural checks and small frozen cases.
 """
 
+import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from spinnet import cyl, operators
+from spinnet import cyl, graphs, operators
 from spinnet.graphs import EmbeddedGraph, Surface, punctures
 from spinnet.su2 import HalfInt, angular_momentum, haar_sample, wigner
 from spinnet.cyl import (
@@ -40,6 +43,7 @@ from spinnet.operators import (
 
 V = np.array
 RNG = np.random.default_rng(23)
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 HALF = Fraction(1, 2)
 SQ3 = math.sqrt(3.0)
 
@@ -526,6 +530,132 @@ def test_volume_full_slot_matrix_is_hermitian():
     op = volume_vertex_matrix(g, 0, [HALF] * 4, gauge_invariant=False)
     assert op.matrix.shape == (16, 16)
     assert np.max(np.abs(op.matrix - op.matrix.conj().T)) == 0.0
+
+
+#: (i, j, k, sign) for every nonzero entry of the Levi-Civita symbol
+LEVI_CIVITA = ((0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
+               (0, 2, 1, -1.0), (2, 1, 0, -1.0), (1, 0, 2, -1.0))
+
+
+def _dense_volume_reference(graph, vertex, spins, gauge_invariant):
+    """(edges, basis labels, matrix) from the dense slot-space construction:
+    every ordered triple of slots, each Levi-Civita term embedded by
+    Kronecker products, Hermitized, then compressed onto the dressed
+    intertwiners."""
+
+    def embed(slot_mats, dims):
+        out = np.eye(1)
+        for s, d in enumerate(dims):
+            out = np.kron(out, slot_mats[s] if s in slot_mats else np.eye(d))
+        return out
+
+    slots = [
+        (e, d)
+        for e, d in graphs.half_edges_at(graph, vertex)
+        if HalfInt.of(spins[e]).twice > 0
+    ]
+    if not slots:
+        return (), ("trivial",), np.zeros((1, 1))
+    tjs = [HalfInt.of(spins[e]).twice for e, _ in slots]
+    tvecs = [graphs.outgoing_tangent(graph, e, d == "start") for e, d in slots]
+    dims = [tj + 1 for tj in tjs]
+    size = int(np.prod(dims))
+    gens = [operators._slot_generators(tj, d == "start") for tj, (_, d) in zip(tjs, slots)]
+    mat = np.zeros((size, size), dtype=complex)
+    for a, b, c in itertools.permutations(range(len(slots)), 3):
+        eps = graphs.tangent_orientation(tvecs[a], tvecs[b], tvecs[c])
+        if eps == 0:
+            continue
+        for i, j, k, sgn in LEVI_CIVITA:
+            mat += (eps * sgn) * embed({a: gens[a][i], b: gens[b][j], c: gens[c][k]}, dims)
+    mat = (mat + mat.conj().T) / 2.0
+    edges = tuple((e, d, tj) for (e, d), tj in zip(slots, tjs))
+    if not gauge_invariant:
+        return edges, (), mat
+    toward = [s for s, (_, d) in enumerate(slots) if d == "end"]
+    dressed = cyl._dressed_intertwiner_tensors([HalfInt(tj) for tj in tjs], toward)
+    if not dressed:
+        return edges, (), np.zeros((0, 0))
+    basis = np.column_stack([t.reshape(-1) for _, t in dressed])
+    comp = basis.conj().T @ mat @ basis
+    labels = tuple("(" + " ".join(str(x) for x in tree) + ")" for tree, _ in dressed)
+    return edges, labels, (comp + comp.conj().T) / 2.0
+
+
+def _star(directions, toward=()):
+    """Edges from the origin to each direction; those listed in ``toward``
+    point into the origin instead."""
+    verts = np.vstack([np.zeros(3), np.asarray(directions, dtype=float)])
+    return EmbeddedGraph.build(
+        verts, [(i + 1, 0) if i in toward else (0, i + 1) for i in range(len(directions))]
+    )
+
+
+_PIN_RNG = np.random.default_rng(41)
+VOLUME_PIN_VERTICES = [
+    *[
+        (_PIN_RNG.normal(size=(n, 3)), tuple(np.flatnonzero(_PIN_RNG.random(n) < 0.4)))
+        for n in (3, 4, 4, 5, 5)
+    ],
+    # tangents 0, 1, 2 are coplanar: that triple has eps = 0
+    (V([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.2, -0.3, 1.0]]), (1,)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(VOLUME_PIN_VERTICES)))
+@pytest.mark.parametrize("gauge_invariant", [True, False])
+def test_volume_vertex_matrix_matches_dense_construction(case, gauge_invariant):
+    directions, toward = VOLUME_PIN_VERTICES[case]
+    g = _star(directions, toward)
+    rng = np.random.default_rng(case)
+    assignments = [[2] * len(directions)] + [
+        list(rng.integers(0, 3, size=len(directions))) for _ in range(6)
+    ]
+    for tjs in assignments:
+        spins = [HalfInt(int(t)) for t in tjs]
+        op = volume_vertex_matrix(g, 0, spins, gauge_invariant=gauge_invariant)
+        edges, labels, ref = _dense_volume_reference(g, 0, spins, gauge_invariant)
+        assert op.edges == edges
+        assert op.basis_labels == labels
+        assert op.matrix.shape == ref.shape
+        if ref.size:
+            # relative to the largest entry, or to 1 where the terms cancel
+            scale = max(np.max(np.abs(ref)), 1.0)
+            assert np.max(np.abs(op.matrix - ref)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("gauge_invariant", [True, False])
+def test_volume_all_planar_vertex_is_exactly_zero(gauge_invariant):
+    directions = [
+        [1.0, 0.2, 0.0], [-0.3, 1.0, 0.0], [-1.0, -0.4, 0.0], [0.5, -1.0, 0.0], [0.7, 0.7, 0.0]
+    ]
+    g = _star(directions, toward=(1, 3))
+    for tjs in ([1, 1, 2, 1, 1], [2] * 5):
+        spins = [HalfInt(t) for t in tjs]
+        op = volume_vertex_matrix(g, 0, spins, gauge_invariant=gauge_invariant)
+        assert op.matrix.size > 0
+        assert np.max(np.abs(op.matrix)) == 0.0
+
+
+@pytest.mark.parametrize("tj", range(1, 7))
+def test_volume_four_valent_tridiagonal_in_coupling_basis(tj):
+    # Brunnemann & Thiemann, CQG 23 (2006) 1289: at a 4-valent vertex the
+    # volume matrix in the left-to-right coupling basis (labelled by the
+    # intermediate spin j12) is purely imaginary and couples only j12 to
+    # j12 +- 1, so it is tridiagonal with a zero diagonal.
+    doc = yaml.safe_load((FIXTURES / "star4.yaml").read_text())
+    g = EmbeddedGraph.build(
+        V(doc["vertices"], dtype=float), [(e["from"], e["to"]) for e in doc["edges"]]
+    )
+    op = volume_vertex_matrix(g, 0, [HalfInt(tj)] * 4)
+    j12 = [Fraction(label[1:-1].split()[0]) for label in op.basis_labels]
+    assert j12 == [Fraction(k) for k in range(tj + 1)]
+    mat = op.matrix
+    tol = 1e-12 * np.max(np.abs(mat))
+    assert tol > 0
+    assert np.max(np.abs(mat.real)) <= tol
+    rows, cols = np.indices(mat.shape)
+    assert np.max(np.abs(mat[np.abs(rows - cols) != 1]), initial=0.0) <= tol
 
 
 def test_volume_spectrum_star_region():

@@ -243,6 +243,18 @@ def test_clebsch_gordan_equivariance():
         assert np.max(np.abs(prod @ b.matrix - b.matrix @ Dj)) < 1e-12
 
 
+def test_clebsch_gordan_blocks_shared_and_read_only():
+    # blocks are computed once per (2j1, 2j2), whatever the spin type
+    a = clebsch_gordan(Fraction(3, 2), 1)
+    b = clebsch_gordan(HalfInt(3), HalfInt(2))
+    assert a is b
+    assert [x.j for x in a] == [x.j for x in b]
+    for x, y in zip(a, b):
+        assert np.array_equal(x.matrix, y.matrix)
+        with pytest.raises(ValueError):
+            x.matrix[0, 0] = 1.0
+
+
 def test_cg_coefficient_values():
     # 1/2 x 1/2: the singlet is (|+-> - |-+>)/sqrt(2)
     h = Fraction(1, 2)
