@@ -25,6 +25,7 @@ import inspect
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -280,8 +281,13 @@ def edge_holonomies(connection: Connection, graph: EmbeddedGraph) -> tuple[Group
 # cylindrical functions
 
 
+@lru_cache(maxsize=None)
 def _check_label(lab) -> Label:
-    tj, tm, tn = (int(x) for x in lab)
+    """Canonical form of one public edge label, remembered per label value;
+    an invalid label raises on every call, since exceptions are not cached."""
+    tj, tm, tn = twice = tuple(int(x) for x in lab)
+    if twice != tuple(lab):
+        raise ValueError(f"bad edge label {lab}: entries must be integral twice-values")
     if tj < 0 or (tj - tm) % 2 or (tj - tn) % 2 or abs(tm) > tj or abs(tn) > tj:
         raise ValueError(f"bad edge label {lab}: need |m|, |n| <= j with matching parity")
     if tj == 0:
@@ -306,7 +312,7 @@ class CylFun:
         for labels, coeff in self.coefficients.items():
             if len(labels) != ne:
                 raise ValueError("label tuple length must equal the edge count")
-            key = tuple(_check_label(l) for l in labels)
+            key = tuple(map(_check_label, labels))
             clean[key] = clean.get(key, 0j) + complex(coeff)
         self.coefficients = clean
 

@@ -88,9 +88,6 @@ class Edge:
         poly.flags.writeable = False
         object.__setattr__(self, "polyline", poly)
 
-    def reversed_polyline(self) -> np.ndarray:
-        return self.polyline[::-1]
-
 
 class EmbeddedGraph:
     """Vertices plus oriented polyline edges in one chart of R^3.

@@ -7,11 +7,12 @@ throughout the package:
 
 * tau_i = sigma_i/(2i), so [tau_i, tau_j] = eps_{ijk} tau_k and
   exp(2 pi tau_3) = -identity.
-* Representation matrices come from the degree-2j polynomial model of the
-  symmetrized tensor power of the fundamental.  Basis vectors are ordered by
-  descending magnetic number m = j, j-1, ..., -j; for j = 1/2 the Wigner
-  matrix is the group element itself and exp(theta tau_3) maps to
-  diag(exp(-i m theta)).
+* Representation matrices are those of the degree-2j polynomial model of the
+  symmetrized tensor power of the fundamental; ``wigner`` computes them as
+  exp(-i theta n.J) from the angular momentum matrices, ``wigner_entry`` from
+  the polynomial expansion.  Basis vectors are ordered by descending magnetic
+  number m = j, j-1, ..., -j; for j = 1/2 the Wigner matrix is the group
+  element itself and exp(theta tau_3) maps to diag(exp(-i m theta)).
 * The left realization L_i of the invariant derivative acts on the column
   index of D^j_{mn}, the right realization R_i on the row index; both
   families satisfy [X_i, X_j] = eps_{ijk} X_k and commute with each other.
@@ -42,6 +43,7 @@ __all__ = [
     "multiply",
     "wigner",
     "wigner_entry",
+    "WIGNER_ENTRY_MAX_TWICE",
     "angular_momentum",
     "invariant_generator",
     "adjoint_rotation",
@@ -250,21 +252,6 @@ class GroupElement:
             v = v.components
         return GroupElement(su2_exp(v), check=False)
 
-    @staticmethod
-    def from_quaternion(q) -> "GroupElement":
-        q = np.asarray(q, dtype=float)
-        n = np.linalg.norm(q)
-        if n < 1e-12:
-            raise ValueError("degenerate quaternion")
-        q = q / n
-        m = np.array(
-            [
-                [q[0] - 1j * q[3], -1j * q[1] - q[2]],
-                [-1j * q[1] + q[2], q[0] + 1j * q[3]],
-            ]
-        )
-        return GroupElement(m, check=False)
-
     def inverse(self) -> "GroupElement":
         return GroupElement(self.matrix.conj().T, check=False)
 
@@ -316,11 +303,24 @@ def _wigner_terms(tj: int, tr: int, tc: int) -> list[tuple[float, int, int, int,
     return terms
 
 
+#: Largest 2j at which the binomial expansion of ``wigner_entry`` stays unitary
+#: to 1e-9: over 100 Haar samples the worst error is 6.8e-10 at 2j = 49 and
+#: 1.1e-9 at 2j = 50, and it roughly doubles per unit of 2j beyond.
+WIGNER_ENTRY_MAX_TWICE = 49
+
+
 def wigner_entry(j: HalfInt, row: HalfInt, col: HalfInt, mats: np.ndarray) -> np.ndarray:
     """D^j_{row,col} evaluated on a stacked array of 2x2 matrices.
 
-    Vectorized over leading axes; used for Monte Carlo estimates.
+    Vectorized over leading axes; used for Monte Carlo estimates.  Raises
+    ``ValueError`` above 2j = ``WIGNER_ENTRY_MAX_TWICE``, where the expansion
+    loses accuracy.
     """
+    if j.twice > WIGNER_ENTRY_MAX_TWICE:
+        raise ValueError(
+            f"wigner_entry: 2j = {j.twice} is above the accuracy limit "
+            f"2j <= {WIGNER_ENTRY_MAX_TWICE} of the binomial expansion"
+        )
     mats = np.asarray(mats, dtype=complex)
     a, b = mats[..., 0, 0], mats[..., 0, 1]
     c, d = mats[..., 1, 0], mats[..., 1, 1]
@@ -347,16 +347,26 @@ class WignerMatrix:
 
 
 def wigner(j, g: GroupElement) -> WignerMatrix:
-    """Wigner matrix D^j(g) of the symmetrized tensor-power representation."""
+    """Wigner matrix D^j(g) of the symmetrized tensor-power representation.
+
+    With g = exp(theta n.tau), D^j(g) = exp(-i theta n.J) = V diag(e^{-i theta m}) V^+,
+    where V diagonalizes n.J and m = -j, ..., j are its exact eigenvalues in
+    the ascending order of ``eigh``.  Unitary to rounding at any spin.
+    """
     j = HalfInt.of(j)
     if j.twice < 0:
         raise ValueError("spin labels are non-negative")
-    dim = _dim(j)
-    out = np.empty((dim, dim), dtype=complex)
-    mags = magnetic_range(j)
-    for ri, r in enumerate(mags):
-        for ci, c in enumerate(mags):
-            out[ri, ci] = wigner_entry(j, r, c, g.matrix)
+    (a, b), _ = g.matrix
+    # g = [[a, b], [-b*, a*]] = cos(theta/2) - i sin(theta/2) n.sigma
+    v = (-b.imag, -b.real, -a.imag)  # sin(theta/2) n
+    s = math.hypot(*v)
+    jx, jy, jz = angular_momentum(j)
+    # g = +-identity leaves n free: take e_z
+    nj = jz if s == 0.0 else (v[0] / s) * jx + (v[1] / s) * jy + (v[2] / s) * jz
+    theta = 2.0 * math.atan2(s, a.real)
+    vecs = np.linalg.eigh(nj)[1]
+    m = np.arange(-j.twice, j.twice + 1, 2) / 2.0
+    out = (vecs * np.exp(-1j * theta * m)) @ vecs.conj().T
     out.flags.writeable = False
     return WignerMatrix(j, out)
 

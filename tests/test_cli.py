@@ -8,6 +8,7 @@ import pytest
 
 from spinnet import cli
 from spinnet.cli import main
+from spinnet.su2 import WIGNER_ENTRY_MAX_TWICE
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -373,6 +374,26 @@ def test_exit_on_bad_region(tmp_path, capsys, region):
     err = capsys.readouterr().err
     assert code == 1 and text == ""
     assert "region: expected 'all' or a list of vertex ids" in err and "Traceback" not in err
+
+
+def test_exit_on_spin_above_monte_carlo_ceiling(tmp_path, capsys):
+    # the Monte Carlo rows evaluate D^j entry by entry, which has a spin ceiling
+    over = WIGNER_ENTRY_MAX_TWICE + 1
+    doc = tmp_path / "high-spin.yaml"
+    doc.write_text(
+        "vertices: [[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]]\n"
+        "edges:\n  - {from: 0, to: 1}\n"
+        "states:\n"
+        f"  - edges: [{{edge: 0, 2j: {over}}}]\n"
+        f"  - edges: [{{edge: 0, 2j: {over}}}]\n"
+    )
+    code, text = run_cli(
+        tmp_path, "--command", "inner-product", "--input", str(doc), "--samples", "10"
+    )
+    err = capsys.readouterr().err
+    assert code == 1 and text == ""
+    assert f"2j = {over} is above the accuracy limit 2j <= {WIGNER_ENTRY_MAX_TWICE}" in err
+    assert "Traceback" not in err
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

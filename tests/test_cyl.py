@@ -105,6 +105,22 @@ def test_monomial_rejects_bad_labels():
         CylFun(g, {((1, 1, 1), (1, 1, 1)): 1.0})  # label count != edge count
 
 
+@pytest.mark.parametrize("bad", [(1, 1.9, -1), (3.5, 1, 1)])
+def test_cylfun_rejects_non_integral_label_entries(bad):
+    # int() used to truncate these to (1, 1, -1) and (3, 1, 1); the second
+    # call hits the per-label memo, which must not remember a failure
+    for _ in range(2):
+        with pytest.raises(ValueError, match="integral"):
+            CylFun(line_graph(), {(bad,): 1.0})
+
+
+def test_cylfun_accepts_integral_floats_and_numpy_ints():
+    for lab in [(1.0, 1.0, -1.0), (np.int64(1), np.int32(1), -1), (1, 1, -1)]:
+        fun = CylFun(line_graph(), {(lab,): 2.0})
+        assert fun.coefficients == {((1, 1, -1),): 2.0 + 0j}
+        assert all(type(x) is int for x in next(iter(fun.coefficients))[0])
+
+
 def test_evaluate_multi_edge_product():
     g = theta_graph()
     us = [haar_sample(RNG) for _ in range(3)]

@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from spinnet.su2 import (
     TAU,
+    WIGNER_ENTRY_MAX_TWICE,
     GroupElement,
     HalfInt,
     adjoint_rotation,
@@ -27,6 +29,7 @@ from spinnet.su2 import (
     spin_range,
     su2_exp,
     wigner,
+    wigner_entry,
 )
 
 RNG = np.random.default_rng(2024)
@@ -145,6 +148,90 @@ def test_wigner_identity_and_center():
     # -1 acts as (-1)^{2j}
     assert np.allclose(wigner(j, minus).entries, -np.eye(4), atol=1e-13)
     assert np.allclose(wigner(1, minus).entries, np.eye(3), atol=1e-13)
+
+
+def binomial_wigner(j, g):
+    """The entry-by-entry binomial construction that ``wigner`` used before
+    the eigendecomposition, kept as a reference."""
+    j = HalfInt.of(j)
+    mags = magnetic_range(j)
+    out = np.empty((len(mags), len(mags)), dtype=complex)
+    for ri, r in enumerate(mags):
+        for ci, c in enumerate(mags):
+            out[ri, ci] = wigner_entry(j, r, c, g.matrix)
+    return out
+
+
+def generator_exp(tj, v):
+    """D^j(exp(v.tau)) for 2j = tj, as exp(-i v.J) by scipy's Pade expm."""
+    J = angular_momentum(HalfInt(tj))
+    return expm(-1j * sum(x * M for x, M in zip(v, J)))
+
+
+@pytest.mark.parametrize("tj", [1, 2, 41, 80, 120, 200])
+def test_wigner_unitary_and_multiplicative_at_high_spin(tj):
+    rng = np.random.default_rng(tj)
+    eye = np.eye(tj + 1)
+    for _ in range(3):
+        a, b = haar_sample(rng), haar_sample(rng)
+        Da, Db = wigner(HalfInt(tj), a).entries, wigner(HalfInt(tj), b).entries
+        Dab = wigner(HalfInt(tj), multiply(a, b)).entries
+        assert np.max(np.abs(Da.conj().T @ Da - eye)) < 1e-12
+        assert np.max(np.abs(Da @ Db - Dab)) < 1e-12
+
+
+def test_wigner_matches_binomial_expansion():
+    # the binomial reference drifts above 1e-13 from 2j = 24 on (up to 2e-13
+    # on Haar samples), so the comparison stops at 2j = 20
+    rng = np.random.default_rng(7)
+    for tj in range(21):
+        for _ in range(3):
+            g = haar_sample(rng)
+            D = wigner(HalfInt(tj), g).entries
+            assert np.max(np.abs(D - binomial_wigner(HalfInt(tj), g))) < 1e-13
+
+
+@pytest.mark.parametrize("tj", [24, 41, 80])
+def test_wigner_matches_generator_exponential(tj):
+    rng = np.random.default_rng(100 + tj)
+    for _ in range(3):
+        v = rng.normal(scale=2.0, size=3)
+        D = wigner(HalfInt(tj), GroupElement.exp(v)).entries
+        assert np.max(np.abs(D - generator_exp(tj, v))) < 1e-12
+
+
+@pytest.mark.parametrize("tj", [1, 2, 41, 200])
+def test_wigner_at_the_center_and_near_it(tj):
+    eye = np.eye(tj + 1)
+    sign = (-1) ** tj
+    assert np.max(np.abs(wigner(HalfInt(tj), GroupElement.identity()).entries - eye)) < 1e-15
+    minus = GroupElement(-np.eye(2))
+    assert np.max(np.abs(wigner(HalfInt(tj), minus).entries - sign * eye)) < 1e-12
+    # tiny rotations: |v| = 1e-300 leaves the identity, 1e-9 its first order
+    for size in (1e-300, 1e-9):
+        v = size * np.array([0.6, -0.48, 0.64])
+        g = GroupElement.exp(v)
+        D = wigner(HalfInt(tj), g).entries
+        assert np.max(np.abs(D - generator_exp(tj, v))) < 1e-12
+        # within 1e-9 of -identity
+        Dm = wigner(HalfInt(tj), GroupElement(-g.matrix, check=False)).entries
+        assert np.max(np.abs(Dm - sign * generator_exp(tj, v))) < 1e-12
+
+
+def test_wigner_entries_are_read_only():
+    D = wigner(2, rand_g())
+    assert not D.entries.flags.writeable
+    with pytest.raises(ValueError):
+        D.entries[0, 0] = 0.0
+
+
+def test_wigner_entry_refuses_spins_above_its_ceiling():
+    g = rand_g().matrix
+    top = HalfInt(WIGNER_ENTRY_MAX_TWICE)
+    assert np.isfinite(wigner_entry(top, top, -top, g))
+    over = HalfInt(WIGNER_ENTRY_MAX_TWICE + 1)
+    with pytest.raises(ValueError, match=f"2j = {over.twice} .* 2j <= {top.twice}"):
+        wigner_entry(over, over, over, g)
 
 
 # ---------------------------------------------------------------------------
