@@ -582,13 +582,15 @@ def gram(funs: Sequence[CylFun], sparse: bool = False):
     return G if sparse else np.asarray(G.todense())
 
 
+#: Haar samples drawn per edge at a time; it fixes the order of the random stream
+_MC_CHUNK = 250_000
+
+
 def mc_inner_product(
     f1: CylFun,
     f2: CylFun,
     samples: int,
     seed: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
-    chunk: int = 250_000,
 ) -> tuple[complex, float]:
     """Monte Carlo check of the Haar inner product.
 
@@ -599,14 +601,13 @@ def mc_inner_product(
         _, m1, m2 = common_refinement(f1.graph, f2.graph)
         f1 = promote(f1, m1)
         f2 = promote(f2, m2)
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     n_edges = f1.graph.n_edges
     total = 0j
     total_sq = 0.0
     done = 0
     while done < samples:
-        n = min(chunk, samples - done)
+        n = min(_MC_CHUNK, samples - done)
         mats = [quaternions_to_matrices(haar_quaternions(rng, n)) for _ in range(n_edges)]
         v1 = _evaluate_batch(f1, mats, n)
         v2 = _evaluate_batch(f2, mats, n)
@@ -635,19 +636,23 @@ class SpinNetworkState:
     gauge_invariant: bool
 
 
+def _dress(T: np.ndarray, spins_at, toward_axes) -> np.ndarray:
+    """Apply the spin-flip matrix on every incoming-edge slot of a tensor."""
+    for ax in toward_axes:
+        E = spin_flip_matrix(spins_at[ax])
+        T = np.moveaxis(np.tensordot(E, T, axes=(1, ax)), 0, ax)
+    return T
+
+
 def _dressed_intertwiner_tensors(spins_at, toward_axes):
     """Orthonormal gauge-invariant vertex tensors: intertwiners with the
     spin-flip dressing applied on every incoming-edge slot."""
     basis = intertwiner_basis(spins_at)
     dims = tuple(j.twice + 1 for j in spins_at)
-    out = []
-    for col in range(basis.dimension):
-        T = basis.vectors[:, col].reshape(dims).astype(complex)
-        for ax in toward_axes:
-            E = spin_flip_matrix(spins_at[ax])
-            T = np.moveaxis(np.tensordot(E, T, axes=(1, ax)), 0, ax)
-        out.append((basis.trees[col], T))
-    return out
+    return [
+        (tree, _dress(vec.reshape(dims).astype(complex), spins_at, toward_axes))
+        for tree, vec in zip(basis.trees, basis.vectors.T)
+    ]
 
 
 def _recoupled_tensors(j: HalfInt, toward_axes):
@@ -661,10 +666,7 @@ def _recoupled_tensors(j: HalfInt, toward_axes):
             continue
         for col, M in enumerate(magnetic_range(block.j)):
             T = block.matrix[:, col].reshape(dims).astype(complex)
-            for ax in toward_axes:
-                E = spin_flip_matrix(j)
-                T = np.moveaxis(np.tensordot(E, T, axes=(1, ax)), 0, ax)
-            out.append((("recoupled", block.j, M), T))
+            out.append((("recoupled", block.j, M), _dress(T, (j, j), toward_axes)))
     return out
 
 

@@ -218,6 +218,14 @@ def _segment_closest(p0, p1, q0, q1) -> tuple[float, float, float]:
     return dist, s, t
 
 
+def _segment_pairs(pa: np.ndarray, pb: np.ndarray):
+    """Every (segment of polyline pa, segment of polyline pb) pair, as the
+    endpoints (p0, p1, q0, q1)."""
+    for i in range(len(pa) - 1):
+        for k in range(len(pb) - 1):
+            yield pa[i], pa[i + 1], pb[k], pb[k + 1]
+
+
 def _collinear_overlap(p0, p1, q0, q1, tol: float = GEO_TOL):
     """Shared interval of two collinear segments, as arclength along [p0, p1].
 
@@ -365,32 +373,23 @@ def validate(graph: EmbeddedGraph) -> list[ValidationIssue]:
             pb = eb.polyline
             shared = {ea.start, ea.end} & {eb.start, eb.end}
             shared_pts = [graph.vertices[v] for v in shared]
-            bad = False
-            for i in range(len(pa) - 1):
-                for k in range(len(pb) - 1):
-                    if _collinear_overlap(pa[i], pa[i + 1], pb[k], pb[k + 1]) is not None:
-                        issues.append(
-                            ValidationIssue(f"edges {a} and {b}: overlapping interiors", (a, b))
-                        )
-                        bad = True
-                        break
-                    dist, s, t = _segment_closest(pa[i], pa[i + 1], pb[k], pb[k + 1])
-                    if dist >= GEO_TOL:
-                        continue
-                    contact = 0.5 * (
-                        pa[i] + s * (pa[i + 1] - pa[i]) + pb[k] + t * (pb[k + 1] - pb[k])
-                    )
-                    if any(np.linalg.norm(contact - p) <= GEO_TOL for p in shared_pts):
-                        continue
+            # at most one issue per pair of edges
+            for p0, p1, q0, q1 in _segment_pairs(pa, pb):
+                if _collinear_overlap(p0, p1, q0, q1) is not None:
                     issues.append(
-                        ValidationIssue(
-                            f"edges {a} and {b}: interiors intersect", (a, b), contact
-                        )
+                        ValidationIssue(f"edges {a} and {b}: overlapping interiors", (a, b))
                     )
-                    bad = True
                     break
-                if bad:
-                    break
+                dist, s, t = _segment_closest(p0, p1, q0, q1)
+                if dist >= GEO_TOL:
+                    continue
+                contact = 0.5 * (p0 + s * (p1 - p0) + q0 + t * (q1 - q0))
+                if any(np.linalg.norm(contact - p) <= GEO_TOL for p in shared_pts):
+                    continue
+                issues.append(
+                    ValidationIssue(f"edges {a} and {b}: interiors intersect", (a, b), contact)
+                )
+                break
     return issues
 
 
@@ -543,16 +542,10 @@ class Surface:
 
     def boundary_distance(self, point2d) -> float:
         poly = self._poly2d
-        best = np.inf
-        for i in range(len(poly)):
-            a = poly[i]
-            b = poly[(i + 1) % len(poly)]
-            u = b - a
-            uu = float(u @ u)
-            t = float((point2d - a) @ u) / uu if uu > 0 else 0.0
-            t = min(1.0, max(0.0, t))
-            best = min(best, float(np.linalg.norm(a + t * u - point2d)))
-        return best
+        return min(
+            _point_segment(point2d, poly[i], poly[(i + 1) % len(poly)])[0]
+            for i in range(len(poly))
+        )
 
     def contains(self, point) -> bool:
         """Strict interior test for an on-plane point; ill-posed near the
@@ -607,12 +600,7 @@ def _edge_plane_events(edge: Edge, surface: Surface) -> list[np.ndarray]:
     poly = edge.polyline
     dist = surface.signed_distance(poly)
     nseg = len(poly) - 1
-    in_plane_seg = []
-    for i in range(nseg):
-        seg_len = float(np.linalg.norm(poly[i + 1] - poly[i]))
-        normal_comp = abs(dist[i + 1] - dist[i])
-        parallel = normal_comp < GEO_TOL * seg_len
-        in_plane_seg.append(parallel and abs(dist[i]) <= GEO_TOL)
+    in_plane_seg = _in_plane_segments(poly, dist)
     events: list[np.ndarray] = []
 
     def on_plane(i: int) -> bool:
@@ -646,31 +634,32 @@ def _edge_plane_events(edge: Edge, surface: Surface) -> list[np.ndarray]:
     return out
 
 
+def _in_plane_segments(poly: np.ndarray, dist: np.ndarray) -> list[bool]:
+    """Per polyline segment: does it run inside the plane, given the signed
+    plane distance ``dist`` of every breakpoint?"""
+    return [
+        abs(dist[i + 1] - dist[i]) < GEO_TOL * float(np.linalg.norm(poly[i + 1] - poly[i]))
+        and abs(dist[i]) <= GEO_TOL
+        for i in range(len(poly) - 1)
+    ]
+
+
 def _check_in_plane_segments(graph: EmbeddedGraph, surface: Surface) -> None:
     """In-plane polyline segments may not touch the patch boundary."""
-    poly2d = surface._poly2d
-    nb = len(poly2d)
     for eid, edge in enumerate(graph.edges):
         poly = edge.polyline
-        dist = surface.signed_distance(poly)
-        for i in range(len(poly) - 1):
-            seg_len = float(np.linalg.norm(poly[i + 1] - poly[i]))
-            if abs(dist[i + 1] - dist[i]) >= GEO_TOL * seg_len or abs(dist[i]) > GEO_TOL:
+        for i, inside in enumerate(_in_plane_segments(poly, surface.signed_distance(poly))):
+            if not inside:
                 continue
-            a2, b2 = surface.plane_coords([poly[i], poly[i + 1]])
-            a3 = np.array([a2[0], a2[1], 0.0])
-            b3 = np.array([b2[0], b2[1], 0.0])
-            for k in range(nb):
-                c2 = poly2d[k]
-                d2 = poly2d[(k + 1) % nb]
-                c3 = np.array([c2[0], c2[1], 0.0])
-                d3 = np.array([d2[0], d2[1], 0.0])
-                gap, _, _ = _segment_closest(a3, b3, c3, d3)
-                if gap <= GEO_TOL:
-                    raise IllPosedIntersectionError(
-                        f"edge {eid} runs inside the surface plane and touches the "
-                        "patch boundary"
-                    )
+            # the segment and the closed patch boundary in plane coordinates, at z = 0
+            seg = np.column_stack([surface.plane_coords(poly[i : i + 2]), np.zeros(2)])
+            ring = np.vstack([surface._poly2d, surface._poly2d[:1]])
+            boundary = np.column_stack([ring, np.zeros(len(ring))])
+            pairs = _segment_pairs(seg, boundary)
+            if any(_segment_closest(*ends)[0] <= GEO_TOL for ends in pairs):
+                raise IllPosedIntersectionError(
+                    f"edge {eid} runs inside the surface plane and touches the patch boundary"
+                )
 
 
 def punctures(graph: EmbeddedGraph, surface: Surface) -> PunctureResult:
@@ -736,50 +725,36 @@ def _crossing_events(g1: EmbeddedGraph, g2: EmbeddedGraph):
     """Transverse interior crossing points between the two edge systems."""
     events1, events2 = [], []
     for e1, edge1 in enumerate(g1.edges):
-        p1 = edge1.polyline
         for e2, edge2 in enumerate(g2.edges):
-            p2 = edge2.polyline
-            for i in range(len(p1) - 1):
-                for k in range(len(p2) - 1):
-                    if _collinear_overlap(p1[i], p1[i + 1], p2[k], p2[k + 1]) is not None:
-                        continue  # handled by the conformance check
-                    dist, s, t = _segment_closest(p1[i], p1[i + 1], p2[k], p2[k + 1])
-                    if dist >= GEO_TOL:
-                        continue
-                    point = 0.5 * (
-                        p1[i]
-                        + s * (p1[i + 1] - p1[i])
-                        + p2[k]
-                        + t * (p2[k + 1] - p2[k])
-                    )
-                    events1.append((e1, point))
-                    events2.append((e2, point))
+            for p0, p1, q0, q1 in _segment_pairs(edge1.polyline, edge2.polyline):
+                if _collinear_overlap(p0, p1, q0, q1) is not None:
+                    continue  # handled by the conformance check
+                dist, s, t = _segment_closest(p0, p1, q0, q1)
+                if dist >= GEO_TOL:
+                    continue
+                point = 0.5 * (p0 + s * (p1 - p0) + q0 + t * (q1 - q0))
+                events1.append((e1, point))
+                events2.append((e2, point))
     return events1, events2
 
 
 def _conformance_check(g1: EmbeddedGraph, g2: EmbeddedGraph) -> None:
     """After splitting, any collinear overlap must be segment-identical."""
     for e1, edge1 in enumerate(g1.edges):
-        p1 = edge1.polyline
         for e2, edge2 in enumerate(g2.edges):
-            p2 = edge2.polyline
-            for i in range(len(p1) - 1):
-                for k in range(len(p2) - 1):
-                    ov = _collinear_overlap(p1[i], p1[i + 1], p2[k], p2[k + 1])
-                    if ov is None:
-                        continue
-                    same = (
-                        np.linalg.norm(p1[i] - p2[k]) <= GEO_TOL
-                        and np.linalg.norm(p1[i + 1] - p2[k + 1]) <= GEO_TOL
-                    ) or (
-                        np.linalg.norm(p1[i] - p2[k + 1]) <= GEO_TOL
-                        and np.linalg.norm(p1[i + 1] - p2[k]) <= GEO_TOL
+            for p0, p1, q0, q1 in _segment_pairs(edge1.polyline, edge2.polyline):
+                if _collinear_overlap(p0, p1, q0, q1) is None:
+                    continue
+                same = (
+                    np.linalg.norm(p0 - q0) <= GEO_TOL and np.linalg.norm(p1 - q1) <= GEO_TOL
+                ) or (
+                    np.linalg.norm(p0 - q1) <= GEO_TOL and np.linalg.norm(p1 - q0) <= GEO_TOL
+                )
+                if not same:
+                    raise NonConformingOverlapError(
+                        f"edges {e1} (first graph) and {e2} (second graph) share an "
+                        "interval that is an exact subchain of neither polyline"
                     )
-                    if not same:
-                        raise NonConformingOverlapError(
-                            f"edges {e1} (first graph) and {e2} (second graph) share an "
-                            "interval that is an exact subchain of neither polyline"
-                        )
 
 
 def _polylines_match(a: np.ndarray, b: np.ndarray, tol: float = GEO_TOL):

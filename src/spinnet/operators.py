@@ -76,6 +76,8 @@ HERMITICITY_TOL = 1e-12
 ORTHONORMALITY_TOL = 1e-10
 VOLUME_ZERO_CLIP = 1e-12
 SPECTRUM_TOL = 1e-12
+#: basis tensors per block of the volume operator's q B products
+_VOLUME_BLOCK_COLUMNS = 64
 
 
 def _is_away(direction: str) -> bool:
@@ -352,11 +354,30 @@ def edge_vertex_operator(
     return EdgeVertexOperator(vertex, edge, axis, direction, mat)
 
 
-def _kron_embed(slot_mats: dict[int, np.ndarray], dims: Sequence[int]) -> np.ndarray:
-    out = np.eye(1)
-    for s, d in enumerate(dims):
-        out = np.kron(out, slot_mats[s] if s in slot_mats else np.eye(d))
+def _on_slot(mat: np.ndarray, stack: np.ndarray, slot: int) -> np.ndarray:
+    """Apply ``mat`` to tensor axis ``slot`` of a C-contiguous basis stack.
+
+    The contraction runs as one batched matmul on a (left, d, right) view,
+    which needs no axis moves or copies, and returns a C-contiguous stack.
+    """
+    shape = stack.shape
+    left = math.prod(shape[:slot])
+    return np.matmul(mat, stack.reshape(left, shape[slot], -1)).reshape(shape)
+
+
+def _slot_sum(stack: np.ndarray, terms) -> np.ndarray:
+    """sum of w * mat on tensor axis ``slot`` of a basis stack, over the
+    (slot, mat, w) ``terms``."""
+    out = np.zeros_like(stack)
+    for slot, mat, w in terms:
+        out += w * _on_slot(mat, stack, slot)
     return out
+
+
+def _identity_stack(dims) -> np.ndarray:
+    """The identity on the slot space as a stack of basis tensors."""
+    size = math.prod(dims)
+    return np.eye(size, dtype=complex).reshape(tuple(dims) + (size,))
 
 
 def vertex_generator(slots, axis: int) -> np.ndarray:
@@ -366,10 +387,12 @@ def vertex_generator(slots, axis: int) -> np.ndarray:
     both the slot order and the tensor factor dimensions.
     """
     dims = [tj + 1 for (_, _, tj) in slots]
-    total = np.zeros((int(np.prod(dims)), int(np.prod(dims))), dtype=complex)
-    for s, (_, d, tj) in enumerate(slots):
-        total += _kron_embed({s: _slot_generators(tj, _is_away(d))[axis - 1]}, dims)
-    return total
+    terms = [
+        (s, _slot_generators(tj, _is_away(d))[axis - 1], 1.0)
+        for s, (_, d, tj) in enumerate(slots)
+    ]
+    size = math.prod(dims)
+    return _slot_sum(_identity_stack(dims), terms).reshape(size, size)
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +428,16 @@ def area_vertex_matrix(puncture: Puncture, spins) -> AreaVertexOperator:
     if not slots:
         return AreaVertexOperator(puncture.vertex, (), (), (), np.zeros((1, 1)))
     dims = [tj + 1 for (_, _, tj) in slots]
-    size = int(np.prod(dims))
+    size = math.prod(dims)
+    identity = _identity_stack(dims)
     mat = np.zeros((size, size), dtype=complex)
     for axis in range(3):
-        comp = np.zeros_like(mat)
-        for s, ((_, d, tj), kappa) in enumerate(zip(slots, signs)):
-            comp += kappa * _kron_embed({s: _slot_generators(tj, _is_away(d))[axis]}, dims)
-        mat += comp @ comp
+        terms = [
+            (s, _slot_generators(tj, _is_away(d))[axis], kappa)
+            for s, ((_, d, tj), kappa) in enumerate(zip(slots, signs))
+        ]
+        # (sum_s kappa_s J^s_axis)^2, one slot application at a time
+        mat += _slot_sum(_slot_sum(identity, terms), terms).reshape(size, size)
     mat = (mat + mat.conj().T) / 2.0
     up = tuple((e, d) for (e, d, _), k in zip(slots, signs) if k > 0)
     down = tuple((e, d) for (e, d, _), k in zip(slots, signs) if k < 0)
@@ -528,40 +554,22 @@ def area_spectrum(graph: EmbeddedGraph, surface: Surface, max_spin) -> Spectrum:
         down = [parent[he.edge] for he in p.half_edges if he.kappa < 0]
         tang = [parent[he.edge] for he in p.half_edges if he.kappa == 0]
         families.append((p.vertex, up, down, tang))
-    n_edges = len(graph.edges)
-    samples = []
-    for assign in itertools.product(range(tmax + 1), repeat=n_edges):
-        spins = [HalfInt(t) for t in assign]
-        prefix = " ".join(f"e{e}={j}" for e, j in enumerate(spins))
-        options = []
-        feasible = True
-        for vid, up, down, tang in families:
-            opts = []
-            tang_set = {J.twice for J in total_spins([spins[e] for e in tang])}
-            for tu in sorted(J.twice for J in total_spins([spins[e] for e in up])):
-                for td in sorted(J.twice for J in total_spins([spins[e] for e in down])):
-                    for tud in range(abs(tu - td), tu + td + 1, 2):
-                        if tud not in tang_set:
-                            continue
-                        value = np.sqrt(max(_area_eigenvalue(tu, td, tud), 0.0))
-                        opts.append(
-                            (
-                                value,
-                                f"v{vid} ju={HalfInt(tu)} jd={HalfInt(td)}"
-                                f" jud={HalfInt(tud)}",
-                            )
-                        )
-            if not opts:
-                feasible = False
-                break
-            options.append(opts)
-        if not feasible:
-            continue
-        for combo in itertools.product(*options):
-            total = sum(v for v, _ in combo)
-            label = prefix + " | " + " | ".join(part for _, part in combo)
-            samples.append((total, 1, label))
-    return Spectrum.from_samples(samples)
+
+    def options(spins, family):
+        vid, up, down, tang = family
+        tang_set = {J.twice for J in total_spins([spins[e] for e in tang])}
+        opts = []
+        for tu in sorted(J.twice for J in total_spins([spins[e] for e in up])):
+            for td in sorted(J.twice for J in total_spins([spins[e] for e in down])):
+                for tud in range(abs(tu - td), tu + td + 1, 2):
+                    if tud not in tang_set:
+                        continue
+                    value = np.sqrt(max(_area_eigenvalue(tu, td, tud), 0.0))
+                    label = f"v{vid} ju={HalfInt(tu)} jd={HalfInt(td)} jud={HalfInt(tud)}"
+                    opts.append((value, label))
+        return opts
+
+    return _spectrum(len(graph.edges), tmax, families, options)
 
 
 # ---------------------------------------------------------------------------
@@ -577,17 +585,6 @@ class VolumeVertexOperator:
     matrix: np.ndarray
     gauge_invariant: bool
     basis_labels: tuple = ()
-
-
-def _on_slot(mat: np.ndarray, stack: np.ndarray, slot: int) -> np.ndarray:
-    """Apply ``mat`` to tensor axis ``slot`` of a C-contiguous basis stack.
-
-    The contraction runs as one batched matmul on a (left, d, right) view,
-    which needs no axis moves or copies, and returns a C-contiguous stack.
-    """
-    shape = stack.shape
-    left = math.prod(shape[:slot])
-    return np.matmul(mat, stack.reshape(left, shape[slot], -1)).reshape(shape)
 
 
 def _triple_sum(stack: np.ndarray, gens, tvecs) -> np.ndarray:
@@ -611,11 +608,7 @@ def _triple_sum(stack: np.ndarray, gens, tvecs) -> np.ndarray:
 
 
 def volume_vertex_matrix(
-    graph: EmbeddedGraph,
-    vertex: int,
-    spins,
-    gauge_invariant: bool = True,
-    tangents=None,
+    graph: EmbeddedGraph, vertex: int, spins, gauge_invariant: bool = True
 ) -> VolumeVertexOperator:
     """qhat_v = sum over ordered half-edge triples of eps(t1,t2,t3) eps_{ijk} J J J.
 
@@ -631,8 +624,9 @@ def volume_vertex_matrix(
     With ``gauge_invariant`` B is the orthonormal dressed-intertwiner basis
     at the vertex (an empty basis yields a 0x0 matrix before any generator
     work); otherwise B is the identity on the slot space and the full
-    slot-space matrix is returned.  ``tangents`` optionally overrides
-    outgoing tangent vectors per (edge, direction) pair.
+    slot-space matrix is returned.  q B is formed for at most
+    _VOLUME_BLOCK_COLUMNS basis tensors at a time, which bounds the memory
+    of the full slot-space matrix.
     """
     slots = [
         (e, d)
@@ -644,7 +638,6 @@ def volume_vertex_matrix(
         return VolumeVertexOperator(vertex, (), mat, gauge_invariant, ("trivial",))
     tjs = [HalfInt.of(spins[e]).twice for (e, _) in slots]
     edges = tuple((e, d, tj) for (e, d), tj in zip(slots, tjs))
-    dims = tuple(tj + 1 for tj in tjs)
     labels = ()
     if gauge_invariant:
         toward = [s for s, (_, d) in enumerate(slots) if d == "end"]
@@ -654,20 +647,19 @@ def volume_vertex_matrix(
         stack = np.stack([t for _, t in dressed], axis=-1)
         labels = tuple("(" + " ".join(str(x) for x in tree) + ")" for tree, _ in dressed)
     else:
-        size = math.prod(dims)
-        stack = np.eye(size, dtype=complex).reshape(dims + (size,))
-    tvecs = []
-    for e, d in slots:
-        if tangents is not None and (e, d) in tangents:
-            tvecs.append(np.asarray(tangents[(e, d)], dtype=float))
-        else:
-            tvecs.append(outgoing_tangent(graph, e, d == "start"))
+        stack = _identity_stack([tj + 1 for tj in tjs])
+    tvecs = [outgoing_tangent(graph, e, d == "start") for e, d in slots]
     gens = [_slot_generators(tj, d == "start") for tj, (_, d) in zip(tjs, slots)]
-    q = _triple_sum(stack, gens, tvecs)
-    flat = stack.reshape(-1, stack.shape[-1])
-    mat = flat.conj().T @ q.reshape(flat.shape)
+    n = stack.shape[-1]
+    adjoint = stack.reshape(-1, n).conj().T
+    mat = np.empty((n, n), dtype=complex)
+    for lo in range(0, n, _VOLUME_BLOCK_COLUMNS):
+        hi = min(lo + _VOLUME_BLOCK_COLUMNS, n)
+        q = _triple_sum(np.ascontiguousarray(stack[..., lo:hi]), gens, tvecs)
+        mat[:, lo:hi] = adjoint @ q.reshape(-1, hi - lo)
     mat *= 6.0  # the six orderings of each triple, applied once
-    mat = (mat + mat.conj().T) / 2.0
+    mat += mat.conj().T  # made exactly Hermitian in place
+    mat /= 2.0
     return VolumeVertexOperator(vertex, edges, mat, gauge_invariant, labels)
 
 
@@ -698,45 +690,19 @@ def volume_spectrum(
         for v in verts:
             if not 0 <= v < n_vertices:
                 raise ValueError(f"vertex {v} is not in the graph")
-    n_edges = len(graph.edges)
-    samples = []
-    for assign in itertools.product(range(tmax + 1), repeat=n_edges):
-        spins = [HalfInt(t) for t in assign]
-        prefix = " ".join(f"e{e}={j}" for e, j in enumerate(spins))
-        options = []
-        feasible = True
-        for v in verts:
-            op = volume_vertex_matrix(graph, v, spins, gauge_invariant=True)
-            if op.matrix.shape[0] == 0:
-                feasible = False  # no intertwiner at a selected vertex
-                break
-            eigs = np.linalg.eigvalsh(op.matrix)
-            buckets: dict[float, list] = {}
-            for lam in eigs:
-                mag = abs(float(lam))
-                if mag < VOLUME_ZERO_CLIP:
-                    mag = 0.0
-                vol = c * np.sqrt(mag / 48.0)
-                key = round(vol, 12)
-                if key in buckets:
-                    buckets[key][1] += 1
-                else:
-                    buckets[key] = [vol, 1]
-            options.append(
-                [(vol, cnt, f"v{v} vol={vol:.6g}") for vol, cnt in buckets.values()]
-            )
-        if not feasible:
-            continue
-        for combo in itertools.product(*options):
-            total = sum(v for v, _, _ in combo)
-            count = 1
-            for _, cnt, _ in combo:
-                count *= cnt
-            label = prefix
-            if combo:
-                label += " | " + " | ".join(part for _, _, part in combo)
-            samples.append((total, count, label))
-    return Spectrum.from_samples(samples)
+
+    def options(spins, v):
+        # an empty intertwiner space gives no eigenvalue, so no option
+        opts = []
+        for lam in np.linalg.eigvalsh(volume_vertex_matrix(graph, v, spins).matrix):
+            mag = abs(float(lam))
+            if mag < VOLUME_ZERO_CLIP:
+                mag = 0.0
+            vol = c * np.sqrt(mag / 48.0)
+            opts.append((vol, f"v{v} vol={vol:.6g}"))
+        return opts
+
+    return _spectrum(len(graph.edges), tmax, verts, options)
 
 
 # ---------------------------------------------------------------------------
@@ -798,3 +764,29 @@ class Spectrum:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+def _spectrum(n_edges: int, tmax: int, vertices, options) -> Spectrum:
+    """Enumerate every assignment of twice-spins 0..tmax to the edges.
+
+    ``options(spins, vertex)`` lists the (value, label) choices at each of
+    ``vertices``; an assignment where some vertex has none is skipped.  Each
+    combination of one choice per vertex is a sample of the summed value,
+    labelled by the assignment and the chosen labels.
+    """
+    samples = []
+    for assign in itertools.product(range(tmax + 1), repeat=n_edges):
+        spins = [HalfInt(t) for t in assign]
+        per_vertex = []
+        for v in vertices:
+            opts = options(spins, v)
+            if not opts:
+                break
+            per_vertex.append(opts)
+        else:
+            prefix = " ".join(f"e{e}={j}" for e, j in enumerate(spins))
+            for combo in itertools.product(*per_vertex):
+                total = sum(value for value, _ in combo)
+                label = prefix + "".join(" | " + part for _, part in combo)
+                samples.append((total, 1, label))
+    return Spectrum.from_samples(samples)

@@ -273,17 +273,11 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
 # ---------------------------------------------------------------------------
 # Wigner matrices
 
-# Cache of closed-form expansion terms: D^j_{rc} = sum_p coef a^pa b^pb c^pc d^pd
-# where [[a, b], [c, d]] is the defining matrix.  Derived from the action on
-# monomials z1^(j+m) z2^(j-m) / sqrt((j+m)!(j-m)!) of the symmetric power.
-_WIGNER_TERMS: dict[tuple[int, int, int], list[tuple[float, int, int, int, int]]] = {}
-
-
-def _wigner_terms(tj: int, tr: int, tc: int) -> list[tuple[float, int, int, int, int]]:
-    key = (tj, tr, tc)
-    cached = _WIGNER_TERMS.get(key)
-    if cached is not None:
-        return cached
+@lru_cache(maxsize=None)
+def _wigner_terms(tj: int, tr: int, tc: int) -> tuple[tuple[float, int, int, int, int], ...]:
+    """Closed-form expansion terms: D^j_{rc} = sum_p coef a^pa b^pb c^pc d^pd
+    where [[a, b], [c, d]] is the defining matrix.  Derived from the action on
+    monomials z1^(j+m) z2^(j-m) / sqrt((j+m)!(j-m)!) of the symmetric power."""
     jpr, jmr = (tj + tr) // 2, (tj - tr) // 2
     jpc, jmc = (tj + tc) // 2, (tj - tc) // 2
     pref = Fraction(
@@ -299,8 +293,7 @@ def _wigner_terms(tj: int, tr: int, tc: int) -> list[tuple[float, int, int, int,
         pd = p - (tr + tc) // 2
         coef = math.comb(jpc, pa) * math.comb(jmc, pb)
         terms.append((coef * root, pa, pb, pc, pd))
-    _WIGNER_TERMS[key] = terms
-    return terms
+    return tuple(terms)
 
 
 #: Largest 2j at which the binomial expansion of ``wigner_entry`` stays unitary
@@ -351,12 +344,17 @@ def wigner(j, g: GroupElement) -> WignerMatrix:
 
     With g = exp(theta n.tau), D^j(g) = exp(-i theta n.J) = V diag(e^{-i theta m}) V^+,
     where V diagonalizes n.J and m = -j, ..., j are its exact eigenvalues in
-    the ascending order of ``eigh``.  Unitary to rounding at any spin.
+    the ascending order of ``eigh``.  Unitary to rounding at any spin.  For
+    Re a < 0 it is computed as (-1)^{2j} D^j(-g), so that theta <= pi and
+    its rounding, which is multiplied by m, stays small near g = -I.
     """
     j = HalfInt.of(j)
     if j.twice < 0:
         raise ValueError("spin labels are non-negative")
     (a, b), _ = g.matrix
+    flip = a.real < 0.0
+    if flip:
+        a, b = -a, -b
     # g = [[a, b], [-b*, a*]] = cos(theta/2) - i sin(theta/2) n.sigma
     v = (-b.imag, -b.real, -a.imag)  # sin(theta/2) n
     s = math.hypot(*v)
@@ -367,6 +365,8 @@ def wigner(j, g: GroupElement) -> WignerMatrix:
     vecs = np.linalg.eigh(nj)[1]
     m = np.arange(-j.twice, j.twice + 1, 2) / 2.0
     out = (vecs * np.exp(-1j * theta * m)) @ vecs.conj().T
+    if flip and j.twice % 2:
+        out = -out
     out.flags.writeable = False
     return WignerMatrix(j, out)
 
@@ -374,19 +374,18 @@ def wigner(j, g: GroupElement) -> WignerMatrix:
 # ---------------------------------------------------------------------------
 # invariant derivative generators
 
-_ANGMOM_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
 def angular_momentum(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hermitian spin-j matrices (Jx, Jy, Jz) with [Jx, Jy] = i Jz.
 
     Basis ordering matches the Wigner matrices (m descending), so Jz is
-    diag(j, j-1, ..., -j).
+    diag(j, j-1, ..., -j).  The matrices are shared: they are read-only.
     """
-    j = HalfInt.of(j)
-    cached = _ANGMOM_CACHE.get(j.twice)
-    if cached is not None:
-        return cached
+    return _angular_momentum(HalfInt.of(j).twice)
+
+
+@lru_cache(maxsize=None)
+def _angular_momentum(tj: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    j = HalfInt(tj)
     dim = _dim(j)
     mags = [float(m) for m in magnetic_range(j)]
     jz = np.diag(np.array(mags, dtype=complex))
@@ -400,7 +399,6 @@ def angular_momentum(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     jy = -0.5j * (jplus - jminus)
     for arr in (jx, jy, jz):
         arr.flags.writeable = False
-    _ANGMOM_CACHE[j.twice] = (jx, jy, jz)
     return jx, jy, jz
 
 
@@ -465,61 +463,49 @@ def spin_flip_matrix(j) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Clebsch-Gordan coupling
 
-_CG_CACHE: dict[tuple[int, int, int, int, int, int], float] = {}
-
-
 def cg_coefficient(j1, m1, j2, m2, j, m) -> float:
     """Condon-Shortley Clebsch-Gordan coefficient <j1 m1 j2 m2 | j m>.
 
     Evaluated from the Racah factorial sum with exact rational arithmetic;
     the only rounding is the final square root.
     """
-    j1, m1, j2, m2, j, m = (HalfInt.of(x) for x in (j1, m1, j2, m2, j, m))
-    key = (j1.twice, m1.twice, j2.twice, m2.twice, j.twice, m.twice)
-    cached = _CG_CACHE.get(key)
-    if cached is not None:
-        return cached
-    value = _cg_eval(j1, m1, j2, m2, j, m)
-    _CG_CACHE[key] = value
-    return value
+    return _cg_value(*(HalfInt.of(x).twice for x in (j1, m1, j2, m2, j, m)))
 
 
-def _cg_eval(j1, m1, j2, m2, j, m) -> float:
-    if m1.twice + m2.twice != m.twice:
+@lru_cache(maxsize=None)
+def _cg_value(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> float:
+    if tm1 + tm2 != tm:
         return 0.0
-    if abs(m1.twice) > j1.twice or abs(m2.twice) > j2.twice or abs(m.twice) > j.twice:
+    if abs(tm1) > tj1 or abs(tm2) > tj2 or abs(tm) > tj:
         return 0.0
-    t1 = (j1.twice + j2.twice - j.twice) // 2
-    t2 = (j1.twice - j2.twice + j.twice) // 2
-    t3 = (-j1.twice + j2.twice + j.twice) // 2
+    t1 = (tj1 + tj2 - tj) // 2
+    t2 = (tj1 - tj2 + tj) // 2
+    t3 = (-tj1 + tj2 + tj) // 2
     if t1 < 0 or t2 < 0 or t3 < 0:
         return 0.0
-    if (j1.twice + j2.twice - j.twice) % 2:
+    if (tj1 + tj2 - tj) % 2:
         return 0.0
     f = math.factorial
-    pref = Fraction(
-        (j.twice + 1) * f(t1) * f(t2) * f(t3),
-        f((j1.twice + j2.twice + j.twice) // 2 + 1),
-    )
+    pref = Fraction((tj + 1) * f(t1) * f(t2) * f(t3), f((tj1 + tj2 + tj) // 2 + 1))
     pref *= Fraction(
-        f((j.twice + m.twice) // 2)
-        * f((j.twice - m.twice) // 2)
-        * f((j1.twice - m1.twice) // 2)
-        * f((j1.twice + m1.twice) // 2)
-        * f((j2.twice - m2.twice) // 2)
-        * f((j2.twice + m2.twice) // 2)
+        f((tj + tm) // 2)
+        * f((tj - tm) // 2)
+        * f((tj1 - tm1) // 2)
+        * f((tj1 + tm1) // 2)
+        * f((tj2 - tm2) // 2)
+        * f((tj2 + tm2) // 2)
     )
     ksum = Fraction(0)
-    klo = max(0, (j2.twice - j.twice - m1.twice) // 2, (j1.twice - j.twice + m2.twice) // 2)
-    khi = min(t1, (j1.twice - m1.twice) // 2, (j2.twice + m2.twice) // 2)
+    klo = max(0, (tj2 - tj - tm1) // 2, (tj1 - tj + tm2) // 2)
+    khi = min(t1, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
     for k in range(klo, khi + 1):
         den = (
             f(k)
             * f(t1 - k)
-            * f((j1.twice - m1.twice) // 2 - k)
-            * f((j2.twice + m2.twice) // 2 - k)
-            * f((j.twice - j2.twice + m1.twice) // 2 + k)
-            * f((j.twice - j1.twice - m2.twice) // 2 + k)
+            * f((tj1 - tm1) // 2 - k)
+            * f((tj2 + tm2) // 2 - k)
+            * f((tj - tj2 + tm1) // 2 + k)
+            * f((tj - tj1 - tm2) // 2 + k)
         )
         ksum += Fraction((-1) ** k, den)
     if ksum == 0:
@@ -547,20 +533,17 @@ def clebsch_gordan(j1, j2) -> tuple[CGBlock, ...]:
 
 @lru_cache(maxsize=None)
 def _cg_blocks(tj1: int, tj2: int) -> tuple[CGBlock, ...]:
-    j1, j2 = HalfInt(tj1), HalfInt(tj2)
-    d1, d2 = _dim(j1), _dim(j2)
+    d2 = tj2 + 1
     blocks = []
-    for j in spin_range(j1, j2):
-        mat = np.zeros((d1 * d2, _dim(j)))
-        for ci, m in enumerate(magnetic_range(j)):
-            for i1, m1 in enumerate(magnetic_range(j1)):
-                tm2 = m.twice - m1.twice
-                if abs(tm2) > j2.twice:
-                    continue
-                m2 = HalfInt(tm2)
-                mat[i1 * d2 + _mag_index(j2, m2), ci] = cg_coefficient(j1, m1, j2, m2, j, m)
+    for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+        mat = np.zeros(((tj1 + 1) * d2, tj + 1))
+        for ci, tm in enumerate(range(tj, -tj - 1, -2)):
+            for i1, tm1 in enumerate(range(tj1, -tj1 - 1, -2)):
+                tm2 = tm - tm1
+                if abs(tm2) <= tj2:
+                    mat[i1 * d2 + (tj2 - tm2) // 2, ci] = _cg_value(tj1, tm1, tj2, tm2, tj, tm)
         mat.flags.writeable = False
-        blocks.append(CGBlock(j, mat))
+        blocks.append(CGBlock(HalfInt(tj), mat))
     return tuple(blocks)
 
 
@@ -595,9 +578,7 @@ def intertwiner_basis(spins: Iterable) -> IntertwinerBasis:
     spins = tuple(HalfInt.of(j) for j in spins)
     if not spins:
         raise ValueError("at least one incident spin is required")
-    total_dim = 1
-    for j in spins:
-        total_dim *= _dim(j)
+    total_dim = math.prod(_dim(j) for j in spins)
     # paths: (accumulated spin J, embedding of V_J into the product so far, tree)
     paths = [(spins[0], np.eye(_dim(spins[0])), ())]
     for j in spins[1:]:

@@ -418,3 +418,24 @@ def test_readme_commands_match_golden_output(capsys, argv):
     argv[3] = str(FIXTURES / argv[3])
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{argv[1]}.csv").read_text()
+
+
+# two 4-valent vertices joined by four edges, three of them bent out of line,
+# so both vertices carry volume and one label must stand for each summed value
+TWO_VERTEX = """\
+vertices: [[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]]
+edges:
+  - {from: 0, to: 1}
+  - {from: 0, to: 1, polyline: [[0, 0, 0], [-1, 1, 0], [1.5, 3, 0], [4, 1, 0], [3, 0, 0]]}
+  - {from: 0, to: 1, polyline: [[0, 0, 0], [-1, -1, 1], [1.5, -3, 3], [4, -1, 1], [3, 0, 0]]}
+  - {from: 1, to: 0, polyline: [[3, 0, 0], [4, -1, -1], [1.5, -3, -3], [-1, -1, -1], [0, 0, 0]]}
+region: all
+"""
+
+
+def test_two_vertex_volume_spectrum_matches_golden_output(tmp_path, capsys):
+    doc = tmp_path / "two_vertex.yaml"
+    doc.write_text(TWO_VERTEX)
+    argv = ["--command", "volume-spectrum", "--input", str(doc), "--max-spin", "3"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / "volume-spectrum-two-vertex.csv").read_text()

@@ -348,6 +348,76 @@ def test_area_vertex_all_tangent_is_zero_block():
     assert np.array_equal(op.matrix, np.zeros((1, 1)))
 
 
+def _kron_embed(slot_mats, dims):
+    """Embed per-slot matrices ({slot: matrix}) in the joint slot space by
+    Kronecker products with identities: the dense reference construction."""
+    out = np.eye(1)
+    for s, d in enumerate(dims):
+        out = np.kron(out, slot_mats[s] if s in slot_mats else np.eye(d))
+    return out
+
+
+def _dense_area_reference(puncture, spins):
+    """(J^(u) - J^(d))^2 with every generator embedded by Kronecker products."""
+    slots = [
+        (he.direction, HalfInt.of(spins[he.edge]).twice, he.kappa)
+        for he in puncture.half_edges
+        if he.kappa != 0
+    ]
+    dims = [tj + 1 for _, tj, _ in slots]
+    size = int(np.prod(dims))
+    mat = np.zeros((size, size), dtype=complex)
+    for axis in range(3):
+        comp = np.zeros_like(mat)
+        for s, (d, tj, kappa) in enumerate(slots):
+            gen = operators._slot_generators(tj, d == "away")[axis]
+            comp += kappa * _kron_embed({s: gen}, dims)
+        mat += comp @ comp
+    return (mat + mat.conj().T) / 2.0
+
+
+def _random_puncture(rng, n):
+    """A puncture with n half-edges of random direction and kappa in {-1, 0, 1},
+    at least one of them transverse, and spins 2j <= 3."""
+    kappas = rng.choice([-1, 0, 1], size=n)
+    kappas[rng.integers(n)] = rng.choice([-1, 1])
+    half_edges = tuple(
+        graphs.PunctureHalfEdge(e, str(rng.choice(["away", "toward"])), int(k))
+        for e, k in enumerate(kappas)
+    )
+    spins = [HalfInt(int(t)) for t in rng.integers(0, 4, size=n)]
+    return graphs.Puncture(0, np.zeros(3), half_edges), spins
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_area_vertex_matrix_matches_kronecker_construction(n):
+    rng = np.random.default_rng(300 + n)
+    for _ in range(8):
+        p, spins = _random_puncture(rng, n)
+        mat = area_vertex_matrix(p, spins).matrix
+        ref = _dense_area_reference(p, spins)
+        assert mat.shape == ref.shape
+        assert np.max(np.abs(mat - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_vertex_generator_matches_kronecker_construction(n):
+    rng = np.random.default_rng(400 + n)
+    for _ in range(4):
+        slots = [
+            (e, str(rng.choice(["away", "toward"])), int(rng.integers(0, 4)))
+            for e in range(n)
+        ]
+        dims = [tj + 1 for _, _, tj in slots]
+        for axis in (1, 2, 3):
+            ref = sum(
+                _kron_embed({s: operators._slot_generators(tj, d == "away")[axis - 1]}, dims)
+                for s, (_, d, tj) in enumerate(slots)
+            )
+            got = vertex_generator(slots, axis)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
+
+
 def bigon_graph():
     return EmbeddedGraph.build(
         V([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]]),
@@ -543,12 +613,6 @@ def _dense_volume_reference(graph, vertex, spins, gauge_invariant):
     Kronecker products, Hermitized, then compressed onto the dressed
     intertwiners."""
 
-    def embed(slot_mats, dims):
-        out = np.eye(1)
-        for s, d in enumerate(dims):
-            out = np.kron(out, slot_mats[s] if s in slot_mats else np.eye(d))
-        return out
-
     slots = [
         (e, d)
         for e, d in graphs.half_edges_at(graph, vertex)
@@ -567,7 +631,9 @@ def _dense_volume_reference(graph, vertex, spins, gauge_invariant):
         if eps == 0:
             continue
         for i, j, k, sgn in LEVI_CIVITA:
-            mat += (eps * sgn) * embed({a: gens[a][i], b: gens[b][j], c: gens[c][k]}, dims)
+            mat += (eps * sgn) * _kron_embed(
+                {a: gens[a][i], b: gens[b][j], c: gens[c][k]}, dims
+            )
     mat = (mat + mat.conj().T) / 2.0
     edges = tuple((e, d, tj) for (e, d), tj in zip(slots, tjs))
     if not gauge_invariant:
@@ -622,6 +688,18 @@ def test_volume_vertex_matrix_matches_dense_construction(case, gauge_invariant):
             # relative to the largest entry, or to 1 where the terms cancel
             scale = max(np.max(np.abs(ref)), 1.0)
             assert np.max(np.abs(op.matrix - ref)) <= 1e-12 * scale
+
+
+def test_volume_full_slot_space_spans_several_column_blocks():
+    # 2j = 3 on four slots: 256 basis tensors, four blocks of q B products
+    directions, _ = VOLUME_PIN_VERTICES[1]
+    g = _star(directions)
+    spins = [HalfInt(3)] * 4
+    op = volume_vertex_matrix(g, 0, spins, gauge_invariant=False)
+    _, _, ref = _dense_volume_reference(g, 0, spins, gauge_invariant=False)
+    assert ref.shape == (256, 256) and 256 > 3 * operators._VOLUME_BLOCK_COLUMNS
+    assert np.max(np.abs(op.matrix - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)
+    assert np.array_equal(op.matrix, op.matrix.conj().T)
 
 
 @pytest.mark.parametrize("gauge_invariant", [True, False])

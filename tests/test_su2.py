@@ -218,6 +218,25 @@ def test_wigner_at_the_center_and_near_it(tj):
         assert np.max(np.abs(Dm - sign * generator_exp(tj, v))) < 1e-12
 
 
+@pytest.mark.parametrize("tj", [1, 2, 41, 200])
+def test_wigner_of_negated_element_is_exact_sign(tj):
+    # D(-h) = (-1)^{2j} D(h) bitwise: for Re a < 0 wigner works from -g.
+    # Both sides are renormalized from the same matrix, since renormalizing
+    # an already normalized element may move its last bit.
+    rng = np.random.default_rng(500 + tj)
+    for _ in range(10):
+        h = haar_sample(rng).matrix
+        plus = wigner(HalfInt(tj), GroupElement(h, check=False)).entries
+        minus = wigner(HalfInt(tj), GroupElement(-h, check=False)).entries
+        assert np.array_equal(minus, (-1) ** tj * plus)
+
+
+def test_wigner_at_minus_identity_is_exact():
+    minus = GroupElement(-np.eye(2))
+    for tj in [*range(41), 99, 100, 199, 200, 399, 400]:
+        assert np.array_equal(wigner(HalfInt(tj), minus).entries, (-1) ** tj * np.eye(tj + 1))
+
+
 def test_wigner_entries_are_read_only():
     D = wigner(2, rand_g())
     assert not D.entries.flags.writeable
