@@ -142,26 +142,69 @@ class Connection:
 
     def apply(self, x, u) -> np.ndarray:
         """Components of A(x)(u) in the tau basis."""
-        if self._const is not None:
-            return self._const @ np.asarray(u, dtype=float)
-        if self._components is not None:
-            mat = np.asarray(self._components(np.asarray(x, dtype=float)), dtype=float)
-            if mat.shape != (3, 3):
-                raise ValueError("connection component field must return a (3, 3) array")
-            return mat @ np.asarray(u, dtype=float)
-        out = self._form(np.asarray(x, dtype=float), np.asarray(u, dtype=float))
-        if isinstance(out, LieVector):
-            return out.components
-        out = np.asarray(out, dtype=float)
-        if out.shape != (3,):
-            raise ValueError("connection form must return three tau components")
-        return out
+        x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+        if self._form is not None:
+            out = self._form(x, u)
+            if isinstance(out, LieVector):
+                return out.components
+            out = np.asarray(out, dtype=float)
+            if out.shape != (3,):
+                raise ValueError("connection form must return three tau components")
+            return out
+        return np.array(self._apply_at(x[None], u)[0])
 
     def _apply_at(self, points, u) -> np.ndarray:
         """A(x)(u) at every row x of ``points``, stacked to shape (m, 3)."""
         if self._const is not None:
             return np.broadcast_to(self._const @ u, (len(points), 3))
+        if self._components is not None:
+            try:
+                mats = np.array([self._components(x) for x in points], dtype=float)
+            except ValueError as err:  # ragged shapes across the nodes
+                raise ValueError("connection component field must return a (3, 3) array") from err
+            if mats.shape[1:] != (3, 3):
+                raise ValueError("connection component field must return a (3, 3) array")
+            return mats @ u
         return np.array([self.apply(x, u) for x in points])
+
+
+_TAU_STACK = np.array(TAU)
+
+
+class _GaugeTransformed(Connection):
+    """A^g = g A g^{-1} - (dg) g^{-1}, evaluated as one stack per pass.
+
+    dg along u is the central difference (g(x + eps u^) - g(x - eps u^)) |u| / (2 eps),
+    with the step eps captured when the transform was made.  Each node goes
+    through the arithmetic of the per-node reference form in tests/test_cyl.py,
+    so a stack equals the per-node results bit for bit.
+    """
+
+    __slots__ = ("_gauge", "_inner", "_eps")
+
+    def __init__(self, gauge: "GaugeTransformation", inner: Connection, eps: float):
+        self._form = self._components = self._const = None
+        self._gauge, self._inner, self._eps = gauge, inner, eps
+
+    def _apply_at(self, points, u) -> np.ndarray:
+        norm_u = np.linalg.norm(u)
+        if norm_u == 0.0:
+            return np.zeros((len(points), 3))
+        step = self._eps * (u / norm_u)
+        g, g_up, g_down = (
+            np.array([self._gauge(x).matrix for x in pts])
+            for pts in (points, points + step, points - step)
+        )
+        ginv = np.conjugate(np.swapaxes(g, 1, 2))
+        a = self._inner._apply_at(points, u)[:, :, None, None]
+        amat = a[:, 0] * TAU[0] + a[:, 1] * TAU[1] + a[:, 2] * TAU[2]
+        dg = (g_up - g_down) / (2 * self._eps)
+        m = g @ amat @ ginv - (dg * norm_u) @ ginv
+        m = 0.5 * (m - np.conjugate(np.swapaxes(m, 1, 2)))
+        m -= (0.5 * (m[:, 0, 0] + m[:, 1, 1]))[:, None, None] * np.eye(2)
+        # component extraction via tr(tau_i tau_j) = -delta_ij / 2
+        mt = m[:, None] @ _TAU_STACK
+        return -2.0 * (mt[..., 0, 0].real + mt[..., 1, 1].real)
 
 
 # 2-point Gauss-Legendre nodes on [0, 1] and the commutator weight of the
@@ -237,13 +280,26 @@ class GaugeTransformation:
     ``transform_connection`` produces A' = g A g^{-1} - (dg) g^{-1} with the
     derivative taken by a central finite difference, which is what makes the
     holonomy covariance h[A'] = g(q) h[A] g(p)^{-1} checkable numerically.
+    The difference step ``fd_step`` must be nonzero and finite (its sign does
+    not matter); a transformed connection keeps the step it was made with.
     """
 
-    __slots__ = ("_field", "fd_step")
+    __slots__ = ("_field", "_fd_step")
 
     def __init__(self, field: Callable[[np.ndarray], GroupElement], fd_step: float = 1e-6):
         self._field = field
         self.fd_step = fd_step
+
+    @property
+    def fd_step(self) -> float:
+        return self._fd_step
+
+    @fd_step.setter
+    def fd_step(self, value: float) -> None:
+        step = float(value)
+        if step == 0.0 or not math.isfinite(step):
+            raise ValueError(f"fd_step must be nonzero and finite, got {value!r}")
+        self._fd_step = step
 
     def __call__(self, x) -> GroupElement:
         g = self._field(np.asarray(x, dtype=float))
@@ -253,24 +309,7 @@ class GaugeTransformation:
         return tuple(self(p) for p in graph.vertices)
 
     def transform_connection(self, connection: Connection) -> Connection:
-        eps = self.fd_step
-
-        def form(x, u):
-            g = self(x).matrix
-            ginv = np.conjugate(g.T)
-            amat = LieVector(connection.apply(x, u)).matrix()
-            norm_u = np.linalg.norm(u)
-            if norm_u == 0.0:
-                return np.zeros(3)
-            uhat = u / norm_u
-            dg = (self(x + eps * uhat).matrix - self(x - eps * uhat).matrix) / (2 * eps)
-            m = g @ amat @ ginv - (dg * norm_u) @ ginv
-            m = 0.5 * (m - np.conjugate(m.T))
-            m -= 0.5 * np.trace(m) * np.eye(2)
-            # component extraction via tr(tau_i tau_j) = -delta_ij / 2
-            return np.array([-2.0 * np.trace(m @ t).real for t in TAU])
-
-        return Connection(form)
+        return _GaugeTransformed(self, connection, self.fd_step)
 
 
 def edge_holonomies(connection: Connection, graph: EmbeddedGraph) -> tuple[GroupElement, ...]:

@@ -176,6 +176,9 @@ TAU = tuple(-0.5j * s for s in PAULI)
 
 _EYE2 = np.eye(2, dtype=complex)
 
+# (I, tau_0, tau_1, tau_2) at each matrix entry, signed zeros kept, for GroupElement.exp
+_EXP_ENTRIES = tuple(zip(*(tuple(complex(z) for z in m.ravel()) for m in (_EYE2, *TAU))))
+
 
 class LieVector:
     """Element v_i tau_i of the su(2) algebra, components in the tau basis."""
@@ -248,9 +251,30 @@ class GroupElement:
 
     @staticmethod
     def exp(v) -> "GroupElement":
+        """exp(v_i tau_i) for one vector, bitwise equal to ``su2_exp(v)``.
+
+        The closed form of ``su2_exp`` in its operation order, on Python
+        floats and complex numbers (a float enters numpy's complex product
+        as x + 0j), which spares one vector numpy's per-call overhead.
+        """
         if isinstance(v, LieVector):
             v = v.components
-        return GroupElement(su2_exp(v), check=False)
+        arr = np.asarray(v, dtype=float)
+        if arr.shape != (3,):
+            raise ValueError("a Lie vector has exactly three real components")
+        v0, v1, v2 = arr.tolist()
+        half = 0.5 * math.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
+        if not math.isfinite(half):
+            raise ValueError("matrix entries must be finite to renormalize into SU(2)")
+        x = math.pi * (half / math.pi)  # np.sinc(half / pi) reads 1.0 at zero
+        coef = complex(math.sin(x) / x if x else 1.0)
+        cos = complex(math.cos(half))
+        c0, c1, c2 = complex(v0), complex(v1), complex(v2)
+        entries = [
+            cos * e + coef * (c0 * t0 + c1 * t1 + c2 * t2)
+            for e, t0, t1, t2 in _EXP_ENTRIES
+        ]
+        return GroupElement(np.array(entries).reshape(2, 2), check=False)
 
     def inverse(self) -> "GroupElement":
         return GroupElement(self.matrix.conj().T, check=False)

@@ -17,7 +17,7 @@ from spinnet.graphs import (
     subdivide,
     subdivide_many,
 )
-from spinnet.su2 import GroupElement, HalfInt, haar_sample, multiply, wigner
+from spinnet.su2 import TAU, GroupElement, HalfInt, LieVector, haar_sample, multiply, wigner
 from spinnet.cyl import (
     Connection,
     CylFun,
@@ -384,6 +384,104 @@ def test_holonomy_gauge_covariance():
     h_t = holonomy(gauge.transform_connection(conn), p)
     expect = gauge_transform_holonomy(h, gauge(p[0]), gauge(p[-1]))
     assert np.max(np.abs(h_t.matrix - expect.matrix)) < 1e-6
+
+
+def _transform_reference(gauge, connection, eps):
+    """The per-node (x, u) form that gauge-transformed connections were
+    before they were evaluated as one stack per pass; kept as the reference."""
+
+    def form(x, u):
+        g = gauge(x).matrix
+        ginv = np.conjugate(g.T)
+        amat = LieVector(connection.apply(x, u)).matrix()
+        norm_u = np.linalg.norm(u)
+        if norm_u == 0.0:
+            return np.zeros(3)
+        uhat = u / norm_u
+        dg = (gauge(x + eps * uhat).matrix - gauge(x - eps * uhat).matrix) / (2 * eps)
+        m = g @ amat @ ginv - (dg * norm_u) @ ginv
+        m = 0.5 * (m - np.conjugate(m.T))
+        m -= 0.5 * np.trace(m) * np.eye(2)
+        return np.array([-2.0 * np.trace(m @ t).real for t in TAU])
+
+    return Connection(form)
+
+
+_C_REF = V([[0.2, 0.1, 0.0], [0.0, -0.3, 0.4], [0.1, 0.0, 0.1]])
+_GAUGE_A = GaugeTransformation(
+    lambda x: GroupElement.exp([0.3 * x[0], -0.2 * x[1], 0.5 + 0.1 * math.sin(x[2])]), fd_step=1e-4
+)
+_GAUGE_B = GaugeTransformation(
+    lambda x: GroupElement.exp([0.1, 0.4 * x[2], -0.3 * x[0] * x[1]]), fd_step=-1e-5
+)
+
+
+def _inner_connections():
+    field = Connection(lambda x: _C_REF + math.sin(x[0] - 2.0 * x[1]) * _C_REF.T)
+    return {
+        "field": (field, field),
+        "constant": (Connection(_C_REF), Connection(_C_REF)),
+        "form": (Connection(lambda x, u: (1.0 + x[2]) * (_C_REF @ u)),) * 2,
+        "nested": (
+            _GAUGE_B.transform_connection(field),
+            _transform_reference(_GAUGE_B, field, _GAUGE_B.fd_step),
+        ),
+    }
+
+
+@pytest.mark.parametrize("kind", ["field", "constant", "form", "nested"])
+def test_transformed_connection_matches_per_node_reference(kind):
+    inner, inner_ref = _inner_connections()[kind]
+    conn = _GAUGE_A.transform_connection(inner)
+    ref = _transform_reference(_GAUGE_A, inner_ref, _GAUGE_A.fd_step)
+    rng = np.random.default_rng(17)
+    for _ in range(4):
+        points, u = rng.uniform(-1.0, 1.0, size=(5, 3)), rng.normal(size=3)
+        want = np.array([ref.apply(x, u) for x in points])
+        assert np.max(np.abs(conn._apply_at(points, u) - want)) <= 1e-15
+        assert np.max(np.abs(conn.apply(points[0], u) - want[0])) <= 1e-15
+    assert not conn._apply_at(points, np.zeros(3)).any()
+    assert not conn.apply(points[0], np.zeros(3)).any()
+
+
+def test_transformed_connection_keeps_its_fd_step():
+    gauge = GaugeTransformation(_GAUGE_A._field, fd_step=1e-4)
+    conn = gauge.transform_connection(Connection(_C_REF))
+    x, u = V([0.3, -0.2, 0.5]), V([0.4, 0.1, -0.7])
+    before = conn.apply(x, u)
+    gauge.fd_step = 0.5
+    assert conn.apply(x, u).tobytes() == before.tobytes()
+    # the central difference is symmetric, so the sign of the step does not matter
+    flipped = GaugeTransformation(_GAUGE_A._field, fd_step=-1e-4)
+    assert flipped.transform_connection(Connection(_C_REF)).apply(x, u).tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("step", [0.0, -0.0, math.nan, math.inf, -math.inf])
+def test_gauge_transformation_rejects_bad_fd_step(step):
+    field = _GAUGE_A._field
+    with pytest.raises(ValueError, match="fd_step"):
+        GaugeTransformation(field, fd_step=step)
+    gauge = GaugeTransformation(field)
+    with pytest.raises(ValueError, match="fd_step"):
+        gauge.fd_step = step
+    assert gauge.fd_step == 1e-6
+
+
+def _bad_at_one_node(x):
+    return np.zeros((2, 2)) if x[0] > 0.5 else _C_REF
+
+
+_SHAPE_MESSAGE = r"connection component field must return a \(3, 3\) array"
+
+
+@pytest.mark.parametrize("field", [_bad_at_one_node, lambda x: np.zeros((2, 2)), lambda x: np.zeros(3)])
+def test_component_field_shape_is_checked_per_pass(field):
+    conn = Connection(field)
+    with pytest.raises(ValueError, match=_SHAPE_MESSAGE):
+        conn.apply(V([0.9, 0.0, 0.0]), V([1.0, 0.0, 0.0]))
+    # the first pass has one node on each side of x0 = 0.5
+    with pytest.raises(ValueError, match=_SHAPE_MESSAGE):
+        holonomy(conn, V([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
 
 
 def test_connection_constructor_forms_agree():

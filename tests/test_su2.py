@@ -1,11 +1,14 @@
 """Representation-theory layer: exact half-integers, Wigner matrices,
 angular momentum, Clebsch-Gordan blocks and intertwiners."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from spinnet.su2 import (
@@ -13,6 +16,7 @@ from spinnet.su2 import (
     WIGNER_ENTRY_MAX_TWICE,
     GroupElement,
     HalfInt,
+    LieVector,
     adjoint_rotation,
     angular_momentum,
     casimir_eigenvalue,
@@ -111,6 +115,46 @@ def test_su2_exp_batched_matches_scalar():
     m = sum(v[1, 2, i] * TAU[i] for i in range(3))
     series = sum(np.linalg.matrix_power(m, k) / math.factorial(k) for k in range(30))
     assert np.max(np.abs(batch[1, 2] - series)) < 1e-14
+
+
+def _exp_reference_bytes(v) -> bytes:
+    return GroupElement(su2_exp(v), check=False).matrix.tobytes()
+
+
+_EXP_GRID = (0.0, -0.0, 1e-300, -1e-300, 1.0, -2.5, 3.7, 1e-8)
+
+
+def test_group_element_exp_is_bitwise_su2_exp_on_a_grid():
+    # signed zeros and the sinc limit included; every input form takes one path
+    for v in itertools.product(_EXP_GRID, repeat=3):
+        want = _exp_reference_bytes(np.array(v))
+        for form in (LieVector(v), list(v), np.array(v)):
+            assert GroupElement.exp(form).matrix.tobytes() == want, v
+
+
+_exp_component = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e3),
+    st.floats(min_value=-1e3, max_value=-1e-300),
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(-300.0, 3.0)),
+    st.sampled_from([0.0, -0.0]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.tuples(_exp_component, _exp_component, _exp_component))
+def test_group_element_exp_is_bitwise_su2_exp(v):
+    assert GroupElement.exp(np.array(v)).matrix.tobytes() == _exp_reference_bytes(np.array(v))
+
+
+@pytest.mark.parametrize("bad", [[np.inf, 0.0, 0.0], [np.nan, 0.0, 0.0], [1e300, 1e300, 0.0]])
+def test_group_element_exp_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="matrix entries must be finite to renormalize into SU"):
+        GroupElement.exp(bad)
+
+
+def test_group_element_exp_rejects_wrong_length():
+    with pytest.raises(ValueError, match="three real components"):
+        GroupElement.exp([0.1, 0.2])
 
 
 def test_wigner_half_is_defining_rep():
