@@ -387,8 +387,8 @@ def test_holonomy_gauge_covariance():
 
 
 def _transform_reference(gauge, connection, eps):
-    """The per-node (x, u) form that gauge-transformed connections were
-    before they were evaluated as one stack per pass; kept as the reference."""
+    """Gauge transform of ``connection`` as an (x, u) form evaluated one node
+    at a time: the reference for the stacked evaluation."""
 
     def form(x, u):
         g = gauge(x).matrix
@@ -408,12 +408,18 @@ def _transform_reference(gauge, connection, eps):
 
 
 _C_REF = V([[0.2, 0.1, 0.0], [0.0, -0.3, 0.4], [0.1, 0.0, 0.1]])
-_GAUGE_A = GaugeTransformation(
-    lambda x: GroupElement.exp([0.3 * x[0], -0.2 * x[1], 0.5 + 0.1 * math.sin(x[2])]), fd_step=1e-4
-)
-_GAUGE_B = GaugeTransformation(
-    lambda x: GroupElement.exp([0.1, 0.4 * x[2], -0.3 * x[0] * x[1]]), fd_step=-1e-5
-)
+
+
+def _gauge_field_a(x):
+    return GroupElement.exp([0.3 * x[0], -0.2 * x[1], 0.5 + 0.1 * math.sin(x[2])])
+
+
+def _gauge_field_b(x):
+    return GroupElement.exp([0.1, 0.4 * x[2], -0.3 * x[0] * x[1]])
+
+
+_GAUGE_A = GaugeTransformation(_gauge_field_a, fd_step=1e-4)
+_GAUGE_B = GaugeTransformation(_gauge_field_b, fd_step=-1e-5)
 
 
 def _inner_connections():
@@ -445,23 +451,22 @@ def test_transformed_connection_matches_per_node_reference(kind):
 
 
 def test_transformed_connection_keeps_its_fd_step():
-    gauge = GaugeTransformation(_GAUGE_A._field, fd_step=1e-4)
+    gauge = GaugeTransformation(_gauge_field_a, fd_step=1e-4)
     conn = gauge.transform_connection(Connection(_C_REF))
     x, u = V([0.3, -0.2, 0.5]), V([0.4, 0.1, -0.7])
     before = conn.apply(x, u)
     gauge.fd_step = 0.5
     assert conn.apply(x, u).tobytes() == before.tobytes()
     # the central difference is symmetric, so the sign of the step does not matter
-    flipped = GaugeTransformation(_GAUGE_A._field, fd_step=-1e-4)
+    flipped = GaugeTransformation(_gauge_field_a, fd_step=-1e-4)
     assert flipped.transform_connection(Connection(_C_REF)).apply(x, u).tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("step", [0.0, -0.0, math.nan, math.inf, -math.inf])
 def test_gauge_transformation_rejects_bad_fd_step(step):
-    field = _GAUGE_A._field
     with pytest.raises(ValueError, match="fd_step"):
-        GaugeTransformation(field, fd_step=step)
-    gauge = GaugeTransformation(field)
+        GaugeTransformation(_gauge_field_a, fd_step=step)
+    gauge = GaugeTransformation(_gauge_field_a)
     with pytest.raises(ValueError, match="fd_step"):
         gauge.fd_step = step
     assert gauge.fd_step == 1e-6
