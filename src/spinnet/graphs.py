@@ -14,8 +14,10 @@ configurations within tolerance of a degeneracy that cannot be classified
 
 from __future__ import annotations
 
+import types
+import weakref
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -94,10 +96,11 @@ class EmbeddedGraph:
 
     A graph is immutable: the vertex and polyline arrays are read-only and
     ``edges`` is a tuple of frozen ``Edge``s.  That is what lets
-    ``ensure_valid`` remember, in ``_valid``, that a graph passed.
+    ``ensure_valid`` remember, in ``_valid``, that a graph passed, and
+    ``punctures`` remember, in ``_punctures``, its result per surface.
     """
 
-    __slots__ = ("vertices", "edges", "_valid")
+    __slots__ = ("vertices", "edges", "_valid", "_punctures")
 
     def __init__(self, vertices, edges: Iterable[Edge]):
         verts = np.array(vertices, dtype=float)
@@ -110,6 +113,7 @@ class EmbeddedGraph:
             if not (0 <= e.start < len(verts) and 0 <= e.end < len(verts)):
                 raise ValueError(f"edge endpoints {e.start}->{e.end} out of range")
         self._valid = False
+        self._punctures = None  # surface -> PunctureResult, made on first use
 
     @property
     def n_vertices(self) -> int:
@@ -144,12 +148,16 @@ class RefinementMap:
 
     ``chains[e]`` is a tuple of (fine edge id, sign) pairs ordered from the
     coarse edge's start to its end; sign -1 means the fine edge is traversed
-    against its own orientation.
+    against its own orientation.  ``chains`` is a read-only view of a copy
+    of the given mapping, so a map shared between callers cannot change.
     """
 
     coarse: EmbeddedGraph
     fine: EmbeddedGraph
-    chains: dict[int, tuple[tuple[int, int], ...]] = field(default_factory=dict)
+    chains: Mapping[int, tuple[tuple[int, int], ...]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "chains", types.MappingProxyType(dict(self.chains)))
 
     def is_identity(self) -> bool:
         return self.coarse.n_edges == self.fine.n_edges and all(
@@ -495,9 +503,12 @@ def subdivide_many(
 
 
 class Surface:
-    """Open planar polygonal patch: base point, unit normal, simple polygon."""
+    """Open planar polygonal patch: base point, unit normal, simple polygon.
 
-    __slots__ = ("base", "normal", "polygon", "_u", "_v", "_poly2d")
+    Surfaces compare by identity; ``punctures`` keys its memo weakly on them.
+    """
+
+    __slots__ = ("base", "normal", "polygon", "_u", "_v", "_poly2d", "__weakref__")
 
     def __init__(self, base, normal, polygon):
         base = np.array(base, dtype=float)
@@ -589,18 +600,17 @@ class PunctureResult:
     refinement: RefinementMap  # from the input graph
 
 
-def _edge_plane_events(edge: Edge, surface: Surface) -> list[np.ndarray]:
-    """Interior points where the edge meets the surface plane.
+def _edge_plane_events(poly: np.ndarray, dist: np.ndarray, in_plane_seg) -> list[np.ndarray]:
+    """Interior points where a polyline meets the surface plane.
 
-    Returns candidate points on the polyline; endpoints of the edge are not
-    reported (they are already vertices).  Interior points of in-plane runs
-    are skipped: an edge riding inside the plane meets the surface along a
-    stretch, and only the entry/exit points are events.
+    ``dist`` is the signed plane distance of every breakpoint and
+    ``in_plane_seg`` the ``_in_plane_segments`` of the polyline.  Returns
+    candidate points on the polyline; its endpoints are not reported (they
+    are already vertices).  Interior points of in-plane runs are skipped: an
+    edge riding inside the plane meets the surface along a stretch, and only
+    the entry/exit points are events.
     """
-    poly = edge.polyline
-    dist = surface.signed_distance(poly)
     nseg = len(poly) - 1
-    in_plane_seg = _in_plane_segments(poly, dist)
     events: list[np.ndarray] = []
 
     def on_plane(i: int) -> bool:
@@ -644,11 +654,12 @@ def _in_plane_segments(poly: np.ndarray, dist: np.ndarray) -> list[bool]:
     ]
 
 
-def _check_in_plane_segments(graph: EmbeddedGraph, surface: Surface) -> None:
-    """In-plane polyline segments may not touch the patch boundary."""
+def _check_in_plane_segments(graph: EmbeddedGraph, surface: Surface, in_plane) -> None:
+    """In-plane polyline segments may not touch the patch boundary;
+    ``in_plane[e]`` is the ``_in_plane_segments`` of edge e."""
     for eid, edge in enumerate(graph.edges):
         poly = edge.polyline
-        for i, inside in enumerate(_in_plane_segments(poly, surface.signed_distance(poly))):
+        for i, inside in enumerate(in_plane[eid]):
             if not inside:
                 continue
             # the segment and the closed patch boundary in plane coordinates, at z = 0
@@ -669,12 +680,29 @@ def punctures(graph: EmbeddedGraph, surface: Surface) -> PunctureResult:
     half-edge is classified by the side its outgoing tangent leaves to:
     kappa = +1 strictly above (positive normal side), -1 strictly below,
     0 tangent (normal component below tolerance).
+
+    The result is remembered on the (immutable) graph for as long as the
+    surface lives, and later calls with the same surface object return that
+    same, read-only result; a failure is not remembered and is raised on
+    every call.
     """
+    memo = graph._punctures
+    if memo is None:
+        memo = graph._punctures = weakref.WeakKeyDictionary()
+    result = memo.get(surface)
+    if result is None:
+        result = memo[surface] = _find_punctures(graph, surface)
+    return result
+
+
+def _find_punctures(graph: EmbeddedGraph, surface: Surface) -> PunctureResult:
     ensure_valid(graph)
-    _check_in_plane_segments(graph, surface)
+    dists = [surface.signed_distance(edge.polyline) for edge in graph.edges]
+    in_plane = [_in_plane_segments(edge.polyline, d) for edge, d in zip(graph.edges, dists)]
+    _check_in_plane_segments(graph, surface, in_plane)
     events = []
     for eid, edge in enumerate(graph.edges):
-        for point in _edge_plane_events(edge, surface):
+        for point in _edge_plane_events(edge.polyline, dists[eid], in_plane[eid]):
             if abs(float(surface.signed_distance(point))) > GEO_TOL:
                 continue
             if surface.contains(point):  # may raise near the boundary

@@ -270,16 +270,32 @@ def _presubdivided(psi: CylFun, *specs: FluxSpec):
     return fun
 
 
+def _commutator_setup(F1: FluxSpec, F2: FluxSpec, psi: CylFun):
+    """psi pre-subdivided at both surfaces, and the punctures of each surface
+    on that graph, which must need no further subdivision."""
+    fun = _presubdivided(psi, F1, F2)
+    pr1 = punctures(fun.graph, F1.surface)
+    pr2 = punctures(fun.graph, F2.surface)
+    if not (pr1.refinement.is_identity() and pr2.refinement.is_identity()):
+        raise AssertionError("pre-subdivided graph still produced subdivisions")
+    return fun, pr1, pr2
+
+
 def flux_commutator(F1: FluxSpec, F2: FluxSpec, psi: CylFun) -> CylFun:
     """[F1, F2] psi by double application.
 
     Both orders are evaluated on the graph pre-subdivided at both surfaces, so
-    the two images live on the same graph and subtract directly.
+    the two images live on the same graph and subtract directly.  The first
+    image is pruned of |c| <= 1e-15 before the second application, as
+    ``flux_apply`` does through its promotion.
     """
-    fun = _presubdivided(psi, F1, F2)
-    a = flux_apply(F1, flux_apply(F2, fun))
-    b = flux_apply(F2, flux_apply(F1, fun))
-    return a - b
+    fun, pr1, pr2 = _commutator_setup(F1, F2, psi)
+
+    def twice(Fa, pra, Fb, prb) -> CylFun:
+        first = CylFun._trusted(fun.graph, _flux_image(prb, Fb, fun.coefficients)).prune()
+        return CylFun._trusted(fun.graph, _flux_image(pra, Fa, first.coefficients))
+
+    return twice(F1, pr1, F2, pr2) - twice(F2, pr2, F1, pr1)
 
 
 def flux_commutator_closed_form(F1: FluxSpec, F2: FluxSpec, psi: CylFun) -> CylFun:
@@ -293,11 +309,7 @@ def flux_commutator_closed_form(F1: FluxSpec, F2: FluxSpec, psi: CylFun) -> CylF
     summed over punctures common to both surfaces.  Half-edges tangent to
     either surface drop out through the kappa product.
     """
-    fun = _presubdivided(psi, F1, F2)
-    pr1 = punctures(fun.graph, F1.surface)
-    pr2 = punctures(fun.graph, F2.surface)
-    if not (pr1.refinement.is_identity() and pr2.refinement.is_identity()):
-        raise AssertionError("pre-subdivided graph still produced subdivisions")
+    fun, pr1, pr2 = _commutator_setup(F1, F2, psi)
     by_vertex = {p.vertex: p for p in pr2.punctures}
     acc: dict = {}
     for p1 in pr1.punctures:

@@ -1,8 +1,14 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinnet import graphs
 from spinnet.graphs import (
+    Edge,
     EmbeddedGraph,
     IllPosedIntersectionError,
     InvalidGraphError,
@@ -254,3 +260,107 @@ def test_polyline_crossing_counts_each_pass():
     for p in pr.punctures:
         ks = sorted(h.kappa for h in p.half_edges)
         assert ks == [-1, 1]
+
+
+# ---------------------------------------------------------------------------
+# the punctures memo
+
+
+STAR_DIRECTIONS = (
+    (1.0, 0.3, 1.0),
+    (-1.0, 0.5, 0.7),
+    (0.5, -1.0, -1.0),
+    (-0.4, -0.6, -1.0),
+    (0.2, 1.0, -0.3),
+    (-0.9, -0.2, 0.4),
+)
+
+
+@st.composite
+def _star_and_patch(draw):
+    """A 3-5-valent star at the origin and a square patch with a random tilt,
+    offset and size."""
+    dirs = draw(
+        st.lists(st.sampled_from(STAR_DIRECTIONS), unique=True, min_size=3, max_size=5)
+    )
+    lengths = draw(st.lists(st.floats(0.5, 2.0), min_size=len(dirs), max_size=len(dirs)))
+    verts = [[0.0, 0.0, 0.0]] + [list(length * np.array(d)) for d, length in zip(dirs, lengths)]
+    graph = EmbeddedGraph.build(V(verts), [(0, k) for k in range(1, len(verts))])
+    tilt, turn = draw(st.floats(0.0, 1.2)), draw(st.floats(0.0, 2 * np.pi))
+    normal = V([np.sin(tilt) * np.cos(turn), np.sin(tilt) * np.sin(turn), np.cos(tilt)])
+    u = np.cross(normal, [0.0, 1.0, 0.0] if abs(normal[1]) < 0.9 else [1.0, 0.0, 0.0])
+    u /= np.linalg.norm(u)
+    w = np.cross(normal, u)
+    base = draw(st.floats(-0.6, 0.6)) * normal + draw(st.floats(-0.3, 0.3)) * u
+    half = draw(st.floats(0.5, 2.5))
+    corners = [base + a * half * u + b * half * w for a, b in [(-1, -1), (1, -1), (1, 1), (-1, 1)]]
+    return graph, Surface(base, normal, np.vstack(corners))
+
+
+def _copy_graph(g):
+    edges = [Edge(e.start, e.end, e.polyline.copy()) for e in g.edges]
+    return EmbeddedGraph(g.vertices.copy(), edges)
+
+
+def _same_result(a, b):
+    assert a.graph.vertices.tobytes() == b.graph.vertices.tobytes()
+    assert [(e.start, e.end) for e in a.graph.edges] == [(e.start, e.end) for e in b.graph.edges]
+    assert [e.polyline.tobytes() for e in a.graph.edges] == [
+        e.polyline.tobytes() for e in b.graph.edges
+    ]
+    assert a.refinement.chains == b.refinement.chains
+    assert len(a.punctures) == len(b.punctures)
+    for p, q in zip(a.punctures, b.punctures):
+        assert p.vertex == q.vertex
+        assert p.point.tobytes() == q.point.tobytes()
+        assert p.half_edges == q.half_edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(_star_and_patch())
+def test_punctures_memo_matches_a_fresh_computation(case):
+    g, surface = case
+    try:
+        fresh = punctures(_copy_graph(g), surface)
+    except IllPosedIntersectionError:
+        for _ in range(2):
+            with pytest.raises(IllPosedIntersectionError):
+                punctures(g, surface)
+        return
+    first = punctures(g, surface)
+    assert punctures(g, surface) is first
+    _same_result(first, fresh)
+
+
+def test_punctures_repeated_call_returns_the_same_object():
+    g, s = line_graph(), square_patch()
+    pr = punctures(g, s)
+    assert punctures(g, s) is pr
+    assert punctures(g, square_patch()) is not pr  # surfaces compare by identity
+
+
+def test_punctures_failure_is_raised_on_every_call():
+    g = EmbeddedGraph.build(V([[2.0, 0.0, -1.0], [2.0, 0.0, 1.0]]), [(0, 1)])
+    s = square_patch()
+    for _ in range(3):
+        with pytest.raises(IllPosedIntersectionError):
+            punctures(g, s)
+    assert s not in g._punctures
+
+
+def test_punctures_memo_entry_goes_with_its_surface():
+    g, s = line_graph(), square_patch()
+    punctures(g, s)
+    assert len(g._punctures) == 1
+    gone = weakref.ref(s)
+    del s
+    gc.collect()
+    assert gone() is None
+    assert len(g._punctures) == 0
+
+
+def test_shared_puncture_results_are_read_only():
+    pr = punctures(line_graph(), square_patch())
+    with pytest.raises(TypeError):
+        pr.refinement.chains[0] = ((0, 1),)
+    assert not pr.punctures[0].point.flags.writeable

@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinnet import cyl, graphs, operators
 from spinnet.graphs import EmbeddedGraph, Surface, punctures
@@ -19,6 +21,7 @@ from spinnet.su2 import HalfInt, angular_momentum, haar_sample, wigner
 from spinnet.cyl import (
     CylFun,
     evaluate,
+    graphs_equal,
     inner_product,
     monomial,
     promote,
@@ -270,6 +273,97 @@ def test_commutator_disjoint_surfaces_vanishes():
     # cancellation is exact up to float reassociation of the scale factors
     assert flux_commutator(F1, F2, psi).norm() < 1e-15
     assert flux_commutator_closed_form(F1, F2, psi).norm() == 0.0
+
+
+def _four_apply_commutator(F1, F2, psi):
+    """The reference double application: four public flux_apply calls on the
+    graph pre-subdivided at both surfaces."""
+    fun = operators._presubdivided(psi, F1, F2)
+    a = flux_apply(F1, flux_apply(F2, fun))
+    b = flux_apply(F2, flux_apply(F1, fun))
+    return a - b
+
+
+def _assert_same_bytes(got, want):
+    assert got.graph is want.graph or graphs_equal(got.graph, want.graph)
+    assert list(got.coefficients) == list(want.coefficients)
+    values = [np.array(list(f.coefficients.values()), dtype=complex) for f in (got, want)]
+    assert values[0].tobytes() == values[1].tobytes()
+
+
+DIAG_PATCH = patch([0, 0, 0], [1, 1, 0], [1, -1, 0], [0, 0, 1])
+
+
+@st.composite
+def _star_commutator_cases(draw):
+    """A random 1-3-term state on the 3- or 4-valent star and two fluxes
+    through distinct patches."""
+    graph = draw(st.sampled_from([star3_graph(), star4_graph()]))
+
+    def labels():
+        out = []
+        for _ in range(graph.n_edges):
+            tj = draw(st.integers(1, 2))
+            out.append((tj, 2 * draw(st.integers(0, tj)) - tj, 2 * draw(st.integers(0, tj)) - tj))
+        return tuple(out)
+
+    coeffs = {
+        labels(): draw(st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0))
+        for _ in range(draw(st.integers(1, 3)))
+    }
+    surfaces = draw(st.permutations([Z_PATCH, X_PATCH, DIAG_PATCH]))
+    smear = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(V)
+    return (
+        FluxSpec(surfaces[0], draw(smear)),
+        FluxSpec(surfaces[1], draw(smear)),
+        CylFun(graph, coeffs),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_star_commutator_cases())
+def test_flux_commutator_bytes_match_four_flux_applies_on_stars(case):
+    _assert_same_bytes(flux_commutator(*case), _four_apply_commutator(*case))
+
+
+def _kinked_edge_graph():
+    # one edge whose polyline bends at the origin, where both patches meet it
+    poly = V([[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 1.0]])
+    return EmbeddedGraph.build(V([poly[0], poly[-1]]), [(0, 1, poly)])
+
+
+@pytest.mark.parametrize("case", ["loop", "kinked-edge"])
+def test_flux_commutator_bytes_match_four_flux_applies(case):
+    if case == "loop":
+        psi = states_for_spins(jacobi_loop_graph(), [HALF] * 4)[0].fun
+        pairs = [(Z_PATCH, X_PATCH), (X_PATCH, DIAG_PATCH), (DIAG_PATCH, Z_PATCH)]
+    else:
+        psi = monomial(_kinked_edge_graph(), [(1, 1, 0)])
+        pairs = [(Z_PATCH, X_PATCH), (X_PATCH, Z_PATCH)]
+    for s1, s2 in pairs:
+        F1 = FluxSpec(s1, V([0.3, -0.7, 0.5]))
+        F2 = FluxSpec(s2, V([0.6, 0.2, -0.9]))
+        _assert_same_bytes(flux_commutator(F1, F2, psi), _four_apply_commutator(F1, F2, psi))
+
+
+def test_flux_commutator_prunes_the_first_image():
+    # the 1e-14 term's image under the faint F2 falls to |c| <= 1e-15, which
+    # flux_apply's promotion drops before F1 acts; the second edge's labels
+    # keep its keys apart from the unit term's
+    g = star3_graph()
+    psi = CylFun(
+        g,
+        {
+            ((1, 1, 1), (1, 1, 1), (1, 1, 1)): 1.0 + 0j,
+            ((1, 1, 1), (2, 0, 2), (1, 1, 1)): 1e-14 + 0j,
+        },
+    )
+    F1 = FluxSpec(Z_PATCH, V([0.8, -0.4, 0.6]))
+    F2 = FluxSpec(X_PATCH, V([0.01, 0.0, 0.02]))
+    fun = operators._presubdivided(psi, F1, F2)
+    first = operators._flux_image(punctures(fun.graph, F2.surface), F2, fun.coefficients)
+    assert any(0 < abs(c) <= 1e-15 for c in first.values())
+    _assert_same_bytes(flux_commutator(F1, F2, psi), _four_apply_commutator(F1, F2, psi))
 
 
 def jacobi_loop_graph():
