@@ -510,6 +510,10 @@ def main(argv=None) -> int:
         # bad values, failed Hermiticity checks, holonomy step budget overrun
         print(f"error: {config.input_path}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # a job too large for this machine, such as a flux-matrix basis of thousands of states
+        print(f"error: {config.input_path}: out of memory: {exc or 'no detail'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

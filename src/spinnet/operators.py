@@ -78,6 +78,10 @@ VOLUME_ZERO_CLIP = 1e-12
 SPECTRUM_TOL = 1e-12
 #: basis tensors per block of the volume operator's q B products
 _VOLUME_BLOCK_COLUMNS = 64
+#: edges per remembered chunk when a label key is decoded
+_DECODE_CHUNK = 4
+#: matrix rows per block of the operator matrices' Hermiticity check
+_HERMITICITY_BLOCK_ROWS = 64
 
 
 def _is_away(direction: str) -> bool:
@@ -98,60 +102,161 @@ def _slot_generators(tj: int, away: bool) -> tuple[np.ndarray, np.ndarray, np.nd
     return mats
 
 
-def _flux_columns(away: bool, f: np.ndarray, scale):
-    """Column lookup for scale * (f . Jhat) on one half-edge slot."""
+class _LabelCodec:
+    """One int per label tuple, for the length of one operator application.
 
-    def lookup(tjs):
-        if tjs[0] == 0:
-            return ()  # trivial representation: generators vanish
-        a, b, c = _slot_generators(tjs[0], away)
-        return _column_table(scale * (f[0] * a + f[1] * b + f[2] * c), tjs)
+    Edge e's label (2j, 2m, 2n) is the digit (2j K + (2j - 2m)/2) K +
+    (2j - 2n)/2 at place R**e, with K = 1 + the largest 2j of the
+    coefficient dicts the codec is made for and R = K**3; a trivial edge
+    has digit 0.  Relabelling a slot then adds an int to the key: an away
+    slot moves the n figure of its edge's digit, a toward slot the m figure.
+    Decoding reads a key _DECODE_CHUNK edges at a time and remembers the
+    labels of each chunk value, since the keys of one application share
+    most of their digits.
+    """
 
-    return lookup
+    def __init__(self, n_edges: int, coefficient_dicts):
+        tmax = max(
+            (lab[0] for coeffs in coefficient_dicts for labels in coeffs for lab in labels),
+            default=0,
+        )
+        self.base = tmax + 1
+        self.radix = self.base**3
+        # per chunk of edges, from edge 0 up: (width, chunk value -> labels)
+        self._chunks = [
+            (min(_DECODE_CHUNK, n_edges - e), {}) for e in range(0, n_edges, _DECODE_CHUNK)
+        ]
+
+    def encode(self, coeffs: dict) -> dict:
+        K, R = self.base, self.radix
+        out = {}
+        for labels, c in coeffs.items():
+            key = 0
+            for tj, tm, tn in reversed(labels):
+                key = key * R + (tj * K + (tj - tm) // 2) * K + (tj - tn) // 2
+            out[key] = c
+        return out
+
+    def decode(self, keyed: dict) -> dict:
+        place = self.radix**_DECODE_CHUNK
+        out = {}
+        for key, c in keyed.items():
+            labels = ()
+            for width, known in self._chunks:
+                key, value = divmod(key, place)
+                part = known.get(value)
+                if part is None:
+                    part = known[value] = self._labels(value, width)
+                labels += part
+            out[labels] = c
+        return out
+
+    def _labels(self, value: int, width: int) -> tuple:
+        K = self.base
+        labels = []
+        for _ in range(width):
+            value, d = divmod(value, self.radix)
+            tj, rest = divmod(d, K * K)
+            a, b = divmod(rest, K)
+            labels.append((tj, tj - 2 * a, tj - 2 * b))
+        return tuple(labels)
 
 
-def _column_table(mat, tjs) -> list:
-    """Per column of a matrix on the slot-major product of the spaces of
-    ``tjs``: its nonzero (row twice-magnetic labels, value) pairs."""
-    rows = list(itertools.product(*(range(tj, -tj - 1, -2) for tj in tjs)))
-    return [
-        [(rows[r], v) for r, v in enumerate(column) if v != 0]
-        for column in mat.T.tolist()
-    ]
-
-
-def _slot_action(coeffs, slots, columns_for, acc: dict) -> None:
-    """Add to ``acc`` the image of ``coeffs`` under a matrix on label slots.
+class _SlotAction:
+    """A matrix acting on label slots of int-keyed coefficient dicts.
 
     ``slots`` lists (edge, away) pairs: an away slot acts on the column label
     n of its edge's matrix element, a toward slot on the row label m.
-    ``columns_for(twice_spins)`` gives the matrix for those slot spins as a
-    ``_column_table``, empty where the action vanishes; it is looked up once
-    per spin tuple.  The terms of one call are summed before they are added
-    to ``acc``.
+    ``matrix_for(twice_spins)`` gives the matrix on the slot-major product of
+    the slot spaces for those spins, or None where the action vanishes; it
+    is called once per spin tuple.  Per int of slot digits the action keeps
+    the (key delta, value) pairs of the matching nonzero column entries, so
+    each is worked out once per operator application.
     """
-    out: dict = {}
-    tables: dict = {}
-    for labels, coef in coeffs.items():
-        tjs = tuple(labels[e][0] for e, _ in slots)
-        table = tables.get(tjs)
-        if table is None:
-            table = tables[tjs] = columns_for(tjs)
-        if not table:
-            continue
+
+    def __init__(self, codec: _LabelCodec, slots, matrix_for):
+        self.codec = codec
+        self.places = [codec.radix**e for e, _ in slots]
+        self.aways = [away for _, away in slots]
+        self.matrix_for = matrix_for
+        self.matrices: dict = {}  # twice spins -> matrix
+        self.columns: dict = {}  # slot digits -> [(key delta, value)]
+
+    def apply(self, coeffs: dict, acc: dict) -> None:
+        """Add to ``acc`` the image of ``coeffs``; the terms of one call are
+        summed before they are added to ``acc``."""
+        R, places, columns = self.codec.radix, self.places, self.columns
+        out: dict = {}
+        for key, coef in coeffs.items():
+            digits = 0
+            for p in places:
+                digits = digits * R + key // p % R
+            column = columns.get(digits)
+            if column is None:
+                column = columns[digits] = self._column(digits)
+            for delta, v in column:
+                k = key + delta
+                out[k] = out.get(k, 0j) + coef * v
+        for k, v in out.items():
+            acc[k] = acc.get(k, 0j) + v
+
+    def _column(self, digits: int) -> list:
+        K, R = self.codec.base, self.codec.radix
+        slots = []  # (twice spin, acted-on index, key step) per slot
+        for p, away in zip(reversed(self.places), reversed(self.aways)):
+            digits, d = divmod(digits, R)
+            tj, rest = divmod(d, K * K)
+            slots.append((tj, rest % K, p) if away else (tj, rest // K, p * K))
+        slots.reverse()
+        tjs = tuple(tj for tj, _, _ in slots)
+        if tjs not in self.matrices:
+            self.matrices[tjs] = self.matrix_for(tjs)
+        mat = self.matrices[tjs]
+        if mat is None:
+            return []
         col = 0
-        for (e, away), tj in zip(slots, tjs):
-            _, tm, tn = labels[e]
-            col = col * (tj + 1) + (tj - (tn if away else tm)) // 2
-        for mags, v in table[col]:
-            new = list(labels)
-            for (e, away), mag in zip(slots, mags):
-                tj, tm, tn = new[e]
-                new[e] = (tj, tm, mag) if away else (tj, mag, tn)
-            key = tuple(new)
-            out[key] = out.get(key, 0j) + coef * v
-    for key, v in out.items():
-        acc[key] = acc.get(key, 0j) + v
+        for tj, i, _ in slots:
+            col = col * (tj + 1) + i
+        column = []
+        for r, v in enumerate(mat[:, col].tolist()):
+            if v == 0:
+                continue
+            delta = 0
+            for tj, i, step in reversed(slots):
+                r, new = divmod(r, tj + 1)
+                delta += (new - i) * step
+            column.append((delta, v))
+        return column
+
+
+def _summed(actions):
+    """Image function adding up the ``_SlotAction``s in order."""
+
+    def image(coeffs: dict) -> dict:
+        acc: dict = {}
+        for action in actions:
+            action.apply(coeffs, acc)
+        return acc
+
+    return image
+
+
+def _promote(fun: CylFun, refinement) -> CylFun:
+    """``promote(fun, refinement)`` without the chain expansion along an
+    identity refinement.  There promote only adds each coefficient to 0j,
+    which turns a -0.0 part into +0.0, and prunes |c| <= 1e-15; the same is
+    done here directly, with the same bits for finite coefficients."""
+    if not refinement.is_identity():
+        return promote(fun, refinement)
+    coeffs = {l: 0j + c for l, c in fun.coefficients.items() if abs(c) > 1e-15}
+    return CylFun._trusted(refinement.fine, coeffs)
+
+
+def _applied(graph, coeffs: dict, image_for) -> CylFun:
+    """One operator application: ``image_for(codec)`` on coefficients
+    encoded once, decoded once."""
+    codec = _LabelCodec(graph.n_edges, [coeffs])
+    return CylFun._trusted(graph, codec.decode(image_for(codec)(codec.encode(coeffs))))
 
 
 # ---------------------------------------------------------------------------
@@ -179,18 +284,41 @@ class FluxSpec:
         return v
 
 
-def _flux_image(pr, F: FluxSpec, coeffs: dict) -> dict:
-    acc: dict = {}
+def _smeared(f: np.ndarray):
+    """f . J per twice-spin, computed once for each spin met."""
+
+    @lru_cache(maxsize=None)
+    def fJ(tj: int) -> np.ndarray:
+        a, b, c = _slot_generators(tj, True)
+        return f[0] * a + f[1] * b + f[2] * c
+
+    return fJ
+
+
+def _insertion(codec: _LabelCodec, edge: int, away: bool, fJ, scale) -> _SlotAction:
+    """scale * (f . Jhat) on one half-edge slot: f . J on an away slot and
+    -(f . J)^T on a toward one, which equals f . (-J^T) entry for entry."""
+
+    def matrix_for(tjs):
+        (tj,) = tjs
+        if tj == 0:
+            return None  # trivial representation: generators vanish
+        S = fJ(tj)
+        return scale * (S if away else -S.T)
+
+    return _SlotAction(codec, [(edge, away)], matrix_for)
+
+
+def _flux_image(pr, F: FluxSpec, codec: _LabelCodec):
+    """F on int-keyed coefficient dicts of ``codec`` on the punctured graph."""
+    actions = []
     for p in pr.punctures:
-        f = F.components_at(p.point)
+        fJ = _smeared(F.components_at(p.point))
         for he in p.half_edges:
-            if he.kappa == 0:
-                continue  # tangent half-edges do not contribute
-            away = _is_away(he.direction)
-            _slot_action(
-                coeffs, [(he.edge, away)], _flux_columns(away, f, 0.5 * he.kappa), acc
-            )
-    return acc
+            if he.kappa != 0:  # tangent half-edges do not contribute
+                away = _is_away(he.direction)
+                actions.append(_insertion(codec, he.edge, away, fJ, 0.5 * he.kappa))
+    return _summed(actions)
 
 
 def flux_apply(F: FluxSpec, psi: CylFun) -> CylFun:
@@ -201,8 +329,8 @@ def flux_apply(F: FluxSpec, psi: CylFun) -> CylFun:
     the surface maps to the zero function.
     """
     pr = punctures(psi.graph, F.surface)
-    fine = promote(psi, pr.refinement)
-    return CylFun._trusted(pr.graph, _flux_image(pr, F, fine.coefficients))
+    fine = _promote(psi, pr.refinement)
+    return _applied(pr.graph, fine.coefficients, lambda codec: _flux_image(pr, F, codec))
 
 
 def _state_funs(basis) -> list[CylFun]:
@@ -211,30 +339,43 @@ def _state_funs(basis) -> list[CylFun]:
     return [b.fun if isinstance(b, SpinNetworkState) else b for b in basis]
 
 
+def _gram_deviation(funs: Sequence[CylFun]) -> float:
+    """max |G - I| for the Gram matrix G of ``funs``, without a dense G: the
+    stored off-diagonal entries and the whole diagonal of the sparse Gram
+    are every entry of G - I that can be nonzero."""
+    G = gram(funs, sparse=True).tocoo()
+    G.sum_duplicates()
+    return np.max(np.abs(np.concatenate([G.data[G.row != G.col], G.diagonal() - 1.0])))
+
+
 def _check_orthonormal(funs: Sequence[CylFun]) -> None:
     g = funs[0].graph
     for f in funs[1:]:
         if not graphs_equal(f.graph, g):
             raise ValueError("basis states must share a common graph")
-    dev = np.max(np.abs(gram(funs) - np.eye(len(funs))))
+    dev = _gram_deviation(funs)
     if dev > ORTHONORMALITY_TOL:
         raise ValueError(
             f"basis is not orthonormal: Gram matrix deviates from identity by {dev:.3e}"
         )
 
 
-def _operator_matrix(funs: Sequence[CylFun], refinement, image) -> np.ndarray:
+def _operator_matrix(funs: Sequence[CylFun], refinement, image_for) -> np.ndarray:
     """Matrix of an operator in an orthonormal basis of functions.
 
-    ``image`` maps a coefficient dict on the refined graph to the operator's
-    image there.  Promotion is an isometry, so matrix elements are taken
-    between the promoted functions, one image column at a time through an
-    index from label to basis rows.  The raw matrix is checked to be
-    Hermitian to HERMITICITY_TOL and returned exactly Hermitian.
+    ``image_for(codec)`` gives the operator's image map on int-keyed
+    coefficient dicts of the refined graph.  Promotion is an isometry, so
+    matrix elements are taken between the promoted functions, one image
+    column at a time through an index from label key to basis rows.  The raw
+    matrix is checked to be Hermitian to HERMITICITY_TOL and returned
+    exactly Hermitian.
     """
     _check_orthonormal(funs)
-    proms = [promote(f, refinement).coefficients for f in funs]
-    rows: dict = {}  # label -> [(row i, conjugated coefficient)]
+    proms = [_promote(f, refinement).coefficients for f in funs]
+    codec = _LabelCodec(refinement.fine.n_edges, proms)
+    proms = [codec.encode(c) for c in proms]
+    image = image_for(codec)
+    rows: dict = {}  # label key -> [(row i, conjugated coefficient)]
     for i, coeffs in enumerate(proms):
         for lab, a in coeffs.items():
             rows.setdefault(lab, []).append((i, a.conjugate()))
@@ -247,10 +388,14 @@ def _operator_matrix(funs: Sequence[CylFun], refinement, image) -> np.ndarray:
                 column[i] = column.get(i, 0j) + ca * b
         for i, v in column.items():
             mat[i, j] = v
-    dev = np.max(np.abs(mat - mat.conj().T))
+    adjoint = mat.conj().T
+    B = _HERMITICITY_BLOCK_ROWS  # rows at a time: no n x n difference is held
+    dev = np.max([np.max(np.abs(mat[i : i + B] - adjoint[i : i + B])) for i in range(0, n, B)])
     if dev > HERMITICITY_TOL:
         raise ArithmeticError(f"operator matrix failed the Hermiticity check: {dev:.3e}")
-    return (mat + mat.conj().T) / 2.0
+    mat += adjoint  # made exactly Hermitian in place
+    mat /= 2.0
+    return mat
 
 
 def flux_matrix(F: FluxSpec, basis) -> np.ndarray:
@@ -258,7 +403,7 @@ def flux_matrix(F: FluxSpec, basis) -> np.ndarray:
     checked to be Hermitian to HERMITICITY_TOL and returned exactly Hermitian."""
     funs = _state_funs(basis)
     pr = punctures(funs[0].graph, F.surface)
-    return _operator_matrix(funs, pr.refinement, lambda c: _flux_image(pr, F, c))
+    return _operator_matrix(funs, pr.refinement, lambda codec: _flux_image(pr, F, codec))
 
 
 def _presubdivided(psi: CylFun, *specs: FluxSpec):
@@ -266,7 +411,7 @@ def _presubdivided(psi: CylFun, *specs: FluxSpec):
     fun = psi
     for F in specs:
         pr = punctures(fun.graph, F.surface)
-        fun = promote(fun, pr.refinement)
+        fun = _promote(fun, pr.refinement)
     return fun
 
 
@@ -290,12 +435,17 @@ def flux_commutator(F1: FluxSpec, F2: FluxSpec, psi: CylFun) -> CylFun:
     ``flux_apply`` does through its promotion.
     """
     fun, pr1, pr2 = _commutator_setup(F1, F2, psi)
+    codec = _LabelCodec(fun.graph.n_edges, [fun.coefficients])
+    keys = codec.encode(fun.coefficients)
+    E1, E2 = _flux_image(pr1, F1, codec), _flux_image(pr2, F2, codec)
 
-    def twice(Fa, pra, Fb, prb) -> CylFun:
-        first = CylFun._trusted(fun.graph, _flux_image(prb, Fb, fun.coefficients)).prune()
-        return CylFun._trusted(fun.graph, _flux_image(pra, Fa, first.coefficients))
+    def twice(Ea, Eb) -> dict:
+        return Ea({k: c for k, c in Eb(keys).items() if abs(c) > 1e-15})
 
-    return twice(F1, pr1, F2, pr2) - twice(F2, pr2, F1, pr1)
+    diff = twice(E1, E2)  # minus twice(E2, E1), in the arithmetic of CylFun.__sub__
+    for k, c in twice(E2, E1).items():
+        diff[k] = diff.get(k, 0j) + complex(-1.0) * c
+    return CylFun._trusted(fun.graph, codec.decode(diff))
 
 
 def flux_commutator_closed_form(F1: FluxSpec, F2: FluxSpec, psi: CylFun) -> CylFun:
@@ -311,22 +461,23 @@ def flux_commutator_closed_form(F1: FluxSpec, F2: FluxSpec, psi: CylFun) -> CylF
     """
     fun, pr1, pr2 = _commutator_setup(F1, F2, psi)
     by_vertex = {p.vertex: p for p in pr2.punctures}
-    acc: dict = {}
-    for p1 in pr1.punctures:
-        p2 = by_vertex.get(p1.vertex)
-        if p2 is None:
-            continue
-        cross = np.cross(F1.components_at(p1.point), F2.components_at(p2.point))
-        kappa2 = {(he.edge, he.direction): he.kappa for he in p2.half_edges}
-        for he in p1.half_edges:
-            kk = he.kappa * kappa2.get((he.edge, he.direction), 0)
-            if kk == 0:
+
+    def image_for(codec):
+        actions = []
+        for p1 in pr1.punctures:
+            p2 = by_vertex.get(p1.vertex)
+            if p2 is None:
                 continue
-            away = _is_away(he.direction)
-            _slot_action(
-                fun.coefficients, [(he.edge, away)], _flux_columns(away, cross, 0.25j * kk), acc
-            )
-    return CylFun._trusted(fun.graph, acc)
+            fJ = _smeared(np.cross(F1.components_at(p1.point), F2.components_at(p2.point)))
+            kappa2 = {(he.edge, he.direction): he.kappa for he in p2.half_edges}
+            for he in p1.half_edges:
+                kk = he.kappa * kappa2.get((he.edge, he.direction), 0)
+                if kk != 0:
+                    away = _is_away(he.direction)
+                    actions.append(_insertion(codec, he.edge, away, fJ, 0.25j * kk))
+        return _summed(actions)
+
+    return _applied(fun.graph, fun.coefficients, image_for)
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +623,10 @@ def _fine_spins(pr, coarse_spins) -> list[HalfInt]:
     return [HalfInt.of(coarse_spins[parent[fe]]) for fe in range(len(pr.graph.edges))]
 
 
-def _area_image(pr, coarse_spins):
-    """Coefficient map of sum_p sqrt(-Delta_p) on the punctured graph; entries
-    of sqrt(-Delta_p) of magnitude up to 1e-15 are dropped."""
+def _area_image(pr, coarse_spins, codec: _LabelCodec):
+    """sum_p sqrt(-Delta_p) on int-keyed coefficient dicts of ``codec`` on the
+    punctured graph; entries of sqrt(-Delta_p) of magnitude up to 1e-15 are
+    dropped."""
     spins = _fine_spins(pr, coarse_spins)
     actions = []
     for p in pr.punctures:
@@ -484,29 +636,21 @@ def _area_image(pr, coarse_spins):
         smat = _sqrt_psd(op.matrix)
         smat[np.abs(smat) <= 1e-15] = 0.0
         slots = [(e, _is_away(d)) for e, d, _ in op.slots]
-        actions.append((slots, _fixed_spin_columns(op.slots, smat)))
-
-    def image(coeffs):
-        acc: dict = {}
-        for slots, lookup in actions:
-            _slot_action(coeffs, slots, lookup, acc)
-        return acc
-
-    return image
+        actions.append(_SlotAction(codec, slots, _fixed_spin_matrix(op.slots, smat)))
+    return _summed(actions)
 
 
-def _fixed_spin_columns(slots, mat):
-    """Column lookup for a matrix built for the spins listed in ``slots``;
+def _fixed_spin_matrix(slots, mat):
+    """``matrix_for`` of a matrix built for the spins listed in ``slots``;
     other spins on those edges raise ``ValueError``."""
-    table = _column_table(mat, [tj for _, _, tj in slots])
 
-    def lookup(tjs):
+    def matrix_for(tjs):
         for (e, _, tj), t in zip(slots, tjs):
             if t != tj:
                 raise ValueError(f"edge {e} carries spin {HalfInt(t)}, expected {HalfInt(tj)}")
-        return table
+        return mat
 
-    return lookup
+    return matrix_for
 
 
 def area_apply(surface: Surface, psi: SpinNetworkState) -> CylFun:
@@ -517,8 +661,8 @@ def area_apply(surface: Surface, psi: SpinNetworkState) -> CylFun:
     units of 4*pi*gamma*lP^2.  A state not meeting the surface maps to zero.
     """
     pr = punctures(psi.fun.graph, surface)
-    fine = promote(psi.fun, pr.refinement)
-    return CylFun._trusted(pr.graph, _area_image(pr, psi.spins)(fine.coefficients))
+    fine = _promote(psi.fun, pr.refinement)
+    return _applied(pr.graph, fine.coefficients, lambda codec: _area_image(pr, psi.spins, codec))
 
 
 def area_matrix(surface: Surface, basis) -> np.ndarray:
@@ -532,7 +676,7 @@ def area_matrix(surface: Surface, basis) -> np.ndarray:
     if any(b.spins != spins for b in basis[1:]):
         raise ValueError("basis states must share one spin assignment")
     pr = punctures(funs[0].graph, surface)
-    return _operator_matrix(funs, pr.refinement, _area_image(pr, spins))
+    return _operator_matrix(funs, pr.refinement, lambda codec: _area_image(pr, spins, codec))
 
 
 def _area_eigenvalue(tu: int, td: int, tud: int) -> float:

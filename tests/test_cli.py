@@ -2,6 +2,10 @@
 documents, plus the exit-code contract."""
 
 import math
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +14,8 @@ from spinnet import cli
 from spinnet.cli import main
 from spinnet.su2 import WIGNER_ENTRY_MAX_TWICE
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def run_cli(tmp_path, *args, name="out.csv"):
@@ -333,6 +338,28 @@ def test_exit_on_numerical_failure(monkeypatch, capsys, exc):
     err = capsys.readouterr().err
     assert code == 1
     assert str(exc) in err and "Traceback" not in err
+
+
+def test_job_too_large_for_memory_exits_1(tmp_path):
+    # 6 561 basis states: the 657 MiB operator matrix cannot be allocated
+    # under a 600 MiB address-space limit, set in the child process only
+    job = tmp_path / "big.yaml"
+    text = (FIXTURES / "kinked_crossing.yaml").read_text()
+    job.write_text(text.replace("2j: [1, 1]", "2j: [8, 8]"))
+    limit = 600 * 2**20
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")  # few thread buffers under the limit
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinnet.cli", "--command", "flux-matrix", "--input", str(job)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {job}: out of memory")
 
 
 FLUX_STAR = (FIXTURES / "flux_star.yaml").read_text()

@@ -189,6 +189,28 @@ def test_flux_matrix_requires_orthonormal_basis():
         flux_matrix(FluxSpec(Z_PATCH, V([0, 0, 1.0])), [a, a + b])
 
 
+def test_gram_deviation_matches_the_dense_gram():
+    g = star3_graph()
+    basis = [b.fun for b in states_for_spins(g, [HALF, 1, HALF], gauge_invariant=False)]
+    a = monomial(g, [(HALF, HALF, HALF)] * 3)
+    b = monomial(g, [(HALF, HALF, -HALF), (1, 0, 1), (HALF, -HALF, HALF)])
+    rng = np.random.default_rng(5)
+    noisy = [
+        CylFun(g, {k: c + 1e-9 * complex(*rng.normal(size=2)) for k, c in f.coefficients.items()})
+        for f in basis[:20]
+    ]
+    families = {
+        "basis": basis,
+        "overlap": [a, a + b],
+        "empty-function": [a, CylFun(g, {}), b],  # a diagonal entry the sparse Gram does not store
+        "scaled": [a, (1 + 1e-12j) * b],
+        "noisy": noisy,
+    }
+    for name, funs in families.items():
+        dense = np.max(np.abs(cyl.gram(funs) - np.eye(len(funs))))
+        assert operators._gram_deviation(funs).hex() == dense.hex(), name
+
+
 def melon_graph():
     """Two vertices joined by four arcs: gauge-invariant states of four
     spin-1/2 edges span a 2 x 2 intertwiner space, 16-24 terms each."""
@@ -203,10 +225,13 @@ def melon_graph():
     )
 
 
-def _dot_matrix(funs, refinement, image):
-    """Reference operator matrix: one coefficient dot per entry."""
+def _dot_matrix(funs, refinement, image_for):
+    """Reference operator matrix: one coefficient dot per entry, with each
+    image decoded back to label tuples."""
     proms = [promote(f, refinement).coefficients for f in funs]
-    images = [image(c) for c in proms]
+    codec = operators._LabelCodec(refinement.fine.n_edges, proms)
+    image = image_for(codec)
+    images = [codec.decode(image(codec.encode(c))) for c in proms]
     mat = np.array([[cyl._dot(p, q) for q in images] for p in proms])
     return (mat + mat.conj().T) / 2.0
 
@@ -229,8 +254,10 @@ def test_operator_matrices_match_entrywise_dots(basis, surface):
     F = FluxSpec(surface, V([0.4, -0.7, 0.3]))
     flux = flux_matrix(F, basis)
     area = area_matrix(surface, basis)
-    flux_ref = _dot_matrix(funs, pr.refinement, lambda c: operators._flux_image(pr, F, c))
-    area_ref = _dot_matrix(funs, pr.refinement, operators._area_image(pr, basis[0].spins))
+    flux_ref = _dot_matrix(funs, pr.refinement, lambda codec: operators._flux_image(pr, F, codec))
+    area_ref = _dot_matrix(
+        funs, pr.refinement, lambda codec: operators._area_image(pr, basis[0].spins, codec)
+    )
     # the flux compresses to zero on gauge-invariant states (a vector
     # operator between scalars), the area does not
     assert np.max(np.abs(area_ref)) > 1.0
@@ -361,7 +388,9 @@ def test_flux_commutator_prunes_the_first_image():
     F1 = FluxSpec(Z_PATCH, V([0.8, -0.4, 0.6]))
     F2 = FluxSpec(X_PATCH, V([0.01, 0.0, 0.02]))
     fun = operators._presubdivided(psi, F1, F2)
-    first = operators._flux_image(punctures(fun.graph, F2.surface), F2, fun.coefficients)
+    codec = operators._LabelCodec(fun.graph.n_edges, [fun.coefficients])
+    image = operators._flux_image(punctures(fun.graph, F2.surface), F2, codec)
+    first = image(codec.encode(fun.coefficients))
     assert any(0 < abs(c) <= 1e-15 for c in first.values())
     _assert_same_bytes(flux_commutator(F1, F2, psi), _four_apply_commutator(F1, F2, psi))
 
