@@ -47,13 +47,11 @@ from .su2 import (
     haar_quaternions,
     intertwiner_basis,
     magnetic_range,
-    quaternions_to_matrices,
     spin_flip_matrix,
     su2_exp,
     wigner,
-    wigner_entry,
 )
-from .su2 import _mag_index
+from .su2 import _mag_index, _quaternion_entries, _wigner_entry_kernel
 
 __all__ = [
     "Connection",
@@ -455,23 +453,25 @@ def evaluate(fun: CylFun, assignment) -> complex:
     return total
 
 
-def _evaluate_batch(fun: CylFun, mats: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """Vectorized evaluation on n stacked edge assignments (mats[e]: (n,2,2))."""
+def _evaluate_batch(fun: CylFun, entries: Sequence[tuple[np.ndarray, ...]], n: int) -> np.ndarray:
+    """Vectorized evaluation on n edge assignments; entries[e] holds the four
+    entry arrays (a, b, c, d), each of length n, of edge e's matrices
+    [[a, b], [c, d]]."""
     vals = np.zeros(n, dtype=complex)
+    term = np.empty(n, dtype=complex)
     cache: dict[tuple[int, int, int, int], np.ndarray] = {}
     for labels, coeff in fun.coefficients.items():
-        term = np.full(n, complex(coeff))
+        term.fill(complex(coeff))
         for e, (tj, tm, tn) in enumerate(labels):
             if tj == 0:
                 continue
             key = (e, tj, tm, tn)
             ent = cache.get(key)
             if ent is None:
-                ent = math.sqrt(tj + 1) * wigner_entry(
-                    HalfInt(tj), HalfInt(tm), HalfInt(tn), np.asarray(mats[e])
-                )
+                ent = _wigner_entry_kernel(tj, tm, tn, *entries[e])
+                ent *= math.sqrt(tj + 1)
                 cache[key] = ent
-            term = term * ent
+            term *= ent
         vals += term
     return vals
 
@@ -647,9 +647,9 @@ def mc_inner_product(
     done = 0
     while done < samples:
         n = min(_MC_CHUNK, samples - done)
-        mats = [quaternions_to_matrices(haar_quaternions(rng, n)) for _ in range(n_edges)]
-        v1 = _evaluate_batch(f1, mats, n)
-        v2 = _evaluate_batch(f2, mats, n)
+        entries = [_quaternion_entries(haar_quaternions(rng, n)) for _ in range(n_edges)]
+        v1 = _evaluate_batch(f1, entries, n)
+        v2 = _evaluate_batch(f2, entries, n)
         z = np.conjugate(v1) * v2
         total += complex(z.sum())
         total_sq += float(np.sum(np.abs(z) ** 2))

@@ -329,21 +329,51 @@ WIGNER_ENTRY_MAX_TWICE = 49
 def wigner_entry(j: HalfInt, row: HalfInt, col: HalfInt, mats: np.ndarray) -> np.ndarray:
     """D^j_{row,col} evaluated on a stacked array of 2x2 matrices.
 
-    Vectorized over leading axes; used for Monte Carlo estimates.  Raises
-    ``ValueError`` above 2j = ``WIGNER_ENTRY_MAX_TWICE``, where the expansion
-    loses accuracy.
+    Vectorized over leading axes.  Raises ``ValueError`` on a non-finite
+    entry and above 2j = ``WIGNER_ENTRY_MAX_TWICE``, where the expansion
+    loses accuracy.  The Monte Carlo inner product calls the same kernel on
+    its Haar samples.
     """
-    if j.twice > WIGNER_ENTRY_MAX_TWICE:
-        raise ValueError(
-            f"wigner_entry: 2j = {j.twice} is above the accuracy limit "
-            f"2j <= {WIGNER_ENTRY_MAX_TWICE} of the binomial expansion"
-        )
     mats = np.asarray(mats, dtype=complex)
+    if mats.shape[-2:] != (2, 2):
+        raise ValueError("wigner_entry: mats must be a stack of 2x2 matrices")
+    if not np.isfinite(mats).all():
+        raise ValueError("wigner_entry: matrix entries must be finite")
     a, b = mats[..., 0, 0], mats[..., 0, 1]
     c, d = mats[..., 1, 0], mats[..., 1, 1]
-    out = np.zeros(mats.shape[:-2], dtype=complex)
-    for coef, pa, pb, pc, pd in _wigner_terms(j.twice, row.twice, col.twice):
-        out += coef * a**pa * b**pb * c**pc * d**pd
+    return _wigner_entry_kernel(j.twice, row.twice, col.twice, a, b, c, d)
+
+
+def _wigner_entry_kernel(tj: int, tr: int, tc: int, a, b, c, d) -> np.ndarray:
+    """D^j_{rc} on the entry arrays of [[a, b], [c, d]], trusted to be finite.
+
+    Sums ``coef * a**pa * b**pb * c**pc * d**pd`` over ``_wigner_terms`` in
+    that order, bit for bit, but multiplies each term into one buffer: a
+    factor with power 0 is skipped, power 1 is x and power 2 is x * x (equal
+    to x**p on finite entries); higher powers stay x**p, which no product
+    order reproduces bitwise.
+    """
+    if tj > WIGNER_ENTRY_MAX_TWICE:
+        raise ValueError(
+            f"wigner_entry: 2j = {tj} is above the accuracy limit "
+            f"2j <= {WIGNER_ENTRY_MAX_TWICE} of the binomial expansion"
+        )
+    out = np.zeros(np.shape(a), dtype=complex)
+    term = np.empty_like(out)
+    power = np.empty_like(out)
+    for coef, *exps in _wigner_terms(tj, tr, tc):
+        product = coef  # the float coefficient until a factor lands in ``term``
+        for x, p in zip((a, b, c, d), exps):
+            if p == 0:
+                continue
+            if p == 1:
+                xp = x
+            elif p == 2:
+                xp = np.multiply(x, x, out=power)
+            else:
+                xp = np.power(x, p, out=power)
+            product = np.multiply(product, xp, out=term)
+        out += product
     return out
 
 
@@ -642,17 +672,28 @@ def haar_quaternions(rng: np.random.Generator, n: int) -> np.ndarray:
         q[bad] = rng.normal(size=(int(bad.sum()), 4))
         norms = np.linalg.norm(q, axis=1)
         bad = norms < 1e-12
-    return q / norms[:, np.newaxis]
+    q /= norms[:, np.newaxis]
+    return q
+
+
+def _quaternion_entries(q: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Entry arrays a, b, c, d of the SU(2) matrices [[a, b], [c, d]] of unit
+    quaternions (..., 4): q0 - i q3, -i q1 - q2, -i q1 + q2 and q0 + i q3,
+    computed from strided views of the components with each i q_k formed once."""
+    q0, q1, q2, q3 = (q[..., k] for k in range(4))
+    iq3 = 1j * q3
+    miq1 = -1j * q1
+    a, b = q0 - iq3, miq1 - q2
+    miq1 += q2
+    iq3 += q0
+    return a, b, miq1, iq3
 
 
 def quaternions_to_matrices(q: np.ndarray) -> np.ndarray:
     """Map unit quaternions (n, 4) to SU(2) matrices (n, 2, 2)."""
     q = np.asarray(q, dtype=float)
     out = np.empty(q.shape[:-1] + (2, 2), dtype=complex)
-    out[..., 0, 0] = q[..., 0] - 1j * q[..., 3]
-    out[..., 0, 1] = -1j * q[..., 1] - q[..., 2]
-    out[..., 1, 0] = -1j * q[..., 1] + q[..., 2]
-    out[..., 1, 1] = q[..., 0] + 1j * q[..., 3]
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = _quaternion_entries(q)
     return out
 
 

@@ -297,6 +297,49 @@ def test_wigner_entry_refuses_spins_above_its_ceiling():
         wigner_entry(over, over, over, g)
 
 
+@pytest.mark.parametrize(
+    "bad", [math.inf, -math.inf, math.nan, complex(0.0, math.inf), complex(math.nan, 0.0)]
+)
+def test_wigner_entry_refuses_non_finite_matrices(bad):
+    mats = quaternions_to_matrices(haar_quaternions(np.random.default_rng(4), 5))
+    mats[3, 1, 0] = bad
+    for tj in (0, 1, 4):
+        j = HalfInt(tj)
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            wigner_entry(j, j, -j, mats)
+
+
+def test_wigner_entry_refuses_a_non_matrix_stack():
+    with pytest.raises(ValueError, match="stack of 2x2 matrices"):
+        wigner_entry(HalfInt(1), HalfInt(1), HalfInt(1), np.ones((4, 3)))
+
+
+_seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 200), _seeds)
+def test_wigner_is_a_homomorphism_at_random_spins(tj, seed):
+    rng = np.random.default_rng(seed)
+    a, b = haar_sample(rng), haar_sample(rng)
+    j = HalfInt(tj)
+    Dab = wigner(j, multiply(a, b)).entries
+    assert np.max(np.abs(wigner(j, a).entries @ wigner(j, b).entries - Dab)) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, WIGNER_ENTRY_MAX_TWICE), st.data(), _seeds)
+def test_wigner_entry_agrees_with_wigner_up_to_its_ceiling(tj, data, seed):
+    j = HalfInt(tj)
+    mags = magnetic_range(j)
+    ri = data.draw(st.integers(0, tj), label="row")
+    ci = data.draw(st.integers(0, tj), label="col")
+    mats = quaternions_to_matrices(haar_quaternions(np.random.default_rng(seed), 8))
+    got = wigner_entry(j, mags[ri], mags[ci], mats)
+    want = [wigner(j, GroupElement(m, check=False)).entries[ri, ci] for m in mats]
+    assert np.max(np.abs(got - want)) < 1e-9
+
+
 # ---------------------------------------------------------------------------
 # algebra action
 
