@@ -720,15 +720,10 @@ def _find_punctures(graph: EmbeddedGraph, surface: Surface) -> PunctureResult:
             continue
         records = []
         for eid, end in hes:
-            tangent = outgoing_tangent(fine, eid, end == "start")
-            comp = float(tangent @ surface.normal)
-            if abs(comp) < GEO_TOL:
-                kappa = 0
-            else:
-                kappa = 1 if comp > 0 else -1
-            records.append(
-                PunctureHalfEdge(eid, "away" if end == "start" else "toward", kappa)
-            )
+            away = end == "start"
+            comp = float(outgoing_tangent(fine, eid, away) @ surface.normal)
+            kappa = 0 if abs(comp) < GEO_TOL else (1 if comp > 0 else -1)
+            records.append(PunctureHalfEdge(eid, "away" if away else "toward", kappa))
         punct.append(Puncture(vid, p, tuple(records)))
     return PunctureResult(tuple(punct), fine, rmap)
 

@@ -7,11 +7,12 @@ there:
 
     F[S, f] = (1/2) sum_p sum_h kappa(h) f^i(p) Jhat_i^{(h)} .
 
-Per half-edge we use the Hermitian slot realizations: an outgoing ("away")
-half-edge acts on the column label of its edge's matrix element with the spin-j
-angular momentum matrices J_i, an incoming ("toward") one acts on the row
-label with -J_i^T.  Both satisfy [A_i, A_j] = i eps_{ijk} A_k, so the usual
-angular-momentum recoupling applies verbatim and flux matrices are Hermitian.
+Per half-edge we use the Hermitian slot triples of ``su2``, i times the
+invariant derivatives of ``invariant_generator``: an outgoing ("away")
+half-edge acts on the column label n of its edge's D^j_{mn} with J_i (side
+'left'), an incoming ("toward") one on the row label m with -J_i^T ('right').
+Both satisfy [A_i, A_j] = i eps_{ijk} A_k, so the usual angular-momentum
+recoupling applies verbatim and flux matrices are Hermitian.
 
 The area operator at a puncture is the square root of
 
@@ -38,7 +39,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .cyl import CylFun, SpinNetworkState, graphs_equal, gram, promote
+from .cyl import CylFun, SpinNetworkState, graphs_equal, promote
 from .cyl import _dressed_intertwiner_tensors
 from .graphs import (
     EmbeddedGraph,
@@ -49,7 +50,8 @@ from .graphs import (
     punctures,
     tangent_orientation,
 )
-from .su2 import HalfInt, LieVector, angular_momentum, total_spins
+from .su2 import HalfInt, LieVector, total_spins
+from .su2 import _slot_generators
 
 __all__ = [
     "FluxSpec",
@@ -85,21 +87,9 @@ _HERMITICITY_BLOCK_ROWS = 64
 
 
 def _is_away(direction: str) -> bool:
-    if direction in ("away", "start"):
-        return True
-    if direction in ("toward", "end"):
-        return False
-    raise ValueError(f"unknown half-edge direction {direction!r}")
-
-
-@lru_cache(maxsize=None)
-def _slot_generators(tj: int, away: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hermitian generator triple acting on one label slot of a spin-j edge."""
-    jmats = angular_momentum(HalfInt(tj))
-    mats = tuple(np.array(m) if away else -np.array(m).T for m in jmats)
-    for m in mats:
-        m.flags.writeable = False
-    return mats
+    if direction not in ("away", "toward"):
+        raise ValueError(f"unknown half-edge direction {direction!r}")
+    return direction == "away"
 
 
 class _LabelCodec:
@@ -285,26 +275,24 @@ class FluxSpec:
 
 
 def _smeared(f: np.ndarray):
-    """f . J per twice-spin, computed once for each spin met."""
+    """f . A per (twice-spin, side) for the su2 slot triples A, once each."""
 
     @lru_cache(maxsize=None)
-    def fJ(tj: int) -> np.ndarray:
-        a, b, c = _slot_generators(tj, True)
+    def fJ(tj: int, away: bool) -> np.ndarray:
+        a, b, c = _slot_generators(tj, away)
         return f[0] * a + f[1] * b + f[2] * c
 
     return fJ
 
 
 def _insertion(codec: _LabelCodec, edge: int, away: bool, fJ, scale) -> _SlotAction:
-    """scale * (f . Jhat) on one half-edge slot: f . J on an away slot and
-    -(f . J)^T on a toward one, which equals f . (-J^T) entry for entry."""
+    """scale * (f . Jhat) on one half-edge slot."""
 
     def matrix_for(tjs):
         (tj,) = tjs
         if tj == 0:
             return None  # trivial representation: generators vanish
-        S = fJ(tj)
-        return scale * (S if away else -S.T)
+        return scale * fJ(tj, away)
 
     return _SlotAction(codec, [(edge, away)], matrix_for)
 
@@ -339,13 +327,38 @@ def _state_funs(basis) -> list[CylFun]:
     return [b.fun if isinstance(b, SpinNetworkState) else b for b in basis]
 
 
+def _row_index(coefficient_dicts) -> dict:
+    """label -> [(i, conjugated coefficient i)], in order of first appearance."""
+    rows: dict = {}
+    for i, coeffs in enumerate(coefficient_dicts):
+        for lab, a in coeffs.items():
+            rows.setdefault(lab, []).append((i, a.conjugate()))
+    return rows
+
+
+def _column(rows: dict, image: dict) -> dict:
+    """i -> sum of conj(a_i[lab]) * image[lab] over the labels of ``image`` in order."""
+    column: dict = {}
+    for lab, b in image.items():
+        for i, ca in rows.get(lab, ()):
+            column[i] = column.get(i, 0j) + ca * b
+    return column
+
+
 def _gram_deviation(funs: Sequence[CylFun]) -> float:
-    """max |G - I| for the Gram matrix G of ``funs``, without a dense G: the
-    stored off-diagonal entries and the whole diagonal of the sparse Gram
-    are every entry of G - I that can be nonzero."""
-    G = gram(funs, sparse=True).tocoo()
-    G.sum_duplicates()
-    return np.max(np.abs(np.concatenate([G.data[G.row != G.col], G.diagonal() - 1.0])))
+    """max |G - I| for the Gram matrix G of ``funs``, one column at a time.
+
+    Column c sums over the labels of funs[c] in order of first appearance, as
+    the sparse product of ``gram`` sums its row c, so each entry conjugates
+    that row's entry and has the same magnitude bit for bit."""
+    rows = _row_index(f.coefficients for f in funs)
+    order = {lab: k for k, lab in enumerate(rows)}
+    dev = 0.0
+    for c, f in enumerate(funs):
+        coeffs = f.coefficients
+        column = _column(rows, {lab: coeffs[lab] for lab in sorted(coeffs, key=order.get)})
+        dev = max(dev, abs(column.pop(c, 0j) - 1.0), *map(abs, column.values()))
+    return dev
 
 
 def _check_orthonormal(funs: Sequence[CylFun]) -> None:
@@ -375,18 +388,11 @@ def _operator_matrix(funs: Sequence[CylFun], refinement, image_for) -> np.ndarra
     codec = _LabelCodec(refinement.fine.n_edges, proms)
     proms = [codec.encode(c) for c in proms]
     image = image_for(codec)
-    rows: dict = {}  # label key -> [(row i, conjugated coefficient)]
-    for i, coeffs in enumerate(proms):
-        for lab, a in coeffs.items():
-            rows.setdefault(lab, []).append((i, a.conjugate()))
+    rows = _row_index(proms)
     n = len(funs)
     mat = np.zeros((n, n), dtype=complex)
     for j, coeffs in enumerate(proms):
-        column: dict[int, complex] = {}
-        for lab, b in image(coeffs).items():
-            for i, ca in rows.get(lab, ()):
-                column[i] = column.get(i, 0j) + ca * b
-        for i, v in column.items():
+        for i, v in _column(rows, image(coeffs)).items():
             mat[i, j] = v
     adjoint = mat.conj().T
     B = _HERMITICITY_BLOCK_ROWS  # rows at a time: no n x n difference is held
@@ -508,13 +514,11 @@ def edge_vertex_operator(
     dirs = [d for (e, d) in half_edges_at(graph, vertex) if e == edge]
     if not dirs:
         raise ValueError(f"edge {edge} is not incident at vertex {vertex}")
-    if direction is None:
-        if len(dirs) > 1:
-            raise ValueError("loop edge: specify direction='away' or 'toward'")
-        direction = "away" if dirs[0] == "start" else "toward"
-    tj = HalfInt.of(spin).twice
-    mat = np.array(_slot_generators(tj, _is_away(direction))[axis - 1])
-    return EdgeVertexOperator(vertex, edge, axis, direction, mat)
+    if direction is None and len(dirs) > 1:
+        raise ValueError("loop edge: specify direction='away' or 'toward'")
+    away = dirs[0] == "start" if direction is None else _is_away(direction)
+    mat = np.array(_slot_generators(HalfInt.of(spin).twice, away)[axis - 1])
+    return EdgeVertexOperator(vertex, edge, axis, "away" if away else "toward", mat)
 
 
 def _on_slot(mat: np.ndarray, stack: np.ndarray, slot: int) -> np.ndarray:
@@ -549,11 +553,11 @@ def vertex_generator(slots, axis: int) -> np.ndarray:
     ``slots`` is a sequence of (edge, direction, twice-spin) triples fixing
     both the slot order and the tensor factor dimensions.
     """
+    if axis not in (1, 2, 3):
+        raise ValueError("axis must be 1, 2 or 3")
     dims = [tj + 1 for (_, _, tj) in slots]
-    terms = [
-        (s, _slot_generators(tj, _is_away(d))[axis - 1], 1.0)
-        for s, (_, d, tj) in enumerate(slots)
-    ]
+    gens = [_slot_generators(tj, _is_away(d))[axis - 1] for _, d, tj in slots]
+    terms = [(s, g, 1.0) for s, g in enumerate(gens)]
     size = math.prod(dims)
     return _slot_sum(_identity_stack(dims), terms).reshape(size, size)
 
@@ -580,25 +584,18 @@ def area_vertex_matrix(puncture: Puncture, spins) -> AreaVertexOperator:
     half-edges (kappa = 0) are excluded; if every half-edge is tangent the
     operator is the zero matrix on a trivial slot space.
     """
-    slots = []
-    signs = []
-    for he in puncture.half_edges:
-        if he.kappa == 0:
-            continue
-        tj = HalfInt.of(spins[he.edge]).twice
-        slots.append((he.edge, he.direction, tj))
-        signs.append(he.kappa)
+    transverse = [he for he in puncture.half_edges if he.kappa != 0]
+    slots = [(he.edge, he.direction, HalfInt.of(spins[he.edge]).twice) for he in transverse]
+    signs = [he.kappa for he in transverse]
     if not slots:
         return AreaVertexOperator(puncture.vertex, (), (), (), np.zeros((1, 1)))
     dims = [tj + 1 for (_, _, tj) in slots]
     size = math.prod(dims)
     identity = _identity_stack(dims)
     mat = np.zeros((size, size), dtype=complex)
+    gens = [_slot_generators(tj, _is_away(d)) for _, d, tj in slots]
     for axis in range(3):
-        terms = [
-            (s, _slot_generators(tj, _is_away(d))[axis], kappa)
-            for s, ((_, d, tj), kappa) in enumerate(zip(slots, signs))
-        ]
+        terms = [(s, g[axis], kappa) for s, (g, kappa) in enumerate(zip(gens, signs))]
         # (sum_s kappa_s J^s_axis)^2, one slot application at a time
         mat += _slot_sum(_slot_sum(identity, terms), terms).reshape(size, size)
     mat = (mat + mat.conj().T) / 2.0
@@ -784,19 +781,16 @@ def volume_vertex_matrix(
     _VOLUME_BLOCK_COLUMNS basis tensors at a time, which bounds the memory
     of the full slot-space matrix.
     """
-    slots = [
-        (e, d)
-        for (e, d) in half_edges_at(graph, vertex)
-        if HalfInt.of(spins[e]).twice > 0
-    ]
+    slots = [(e, d) for e, d in half_edges_at(graph, vertex) if HalfInt.of(spins[e]).twice > 0]
     if not slots:
         mat = np.zeros((1, 1))
         return VolumeVertexOperator(vertex, (), mat, gauge_invariant, ("trivial",))
     tjs = [HalfInt.of(spins[e]).twice for (e, _) in slots]
     edges = tuple((e, d, tj) for (e, d), tj in zip(slots, tjs))
+    aways = [d == "start" for _, d in slots]
     labels = ()
     if gauge_invariant:
-        toward = [s for s, (_, d) in enumerate(slots) if d == "end"]
+        toward = [s for s, away in enumerate(aways) if not away]
         dressed = _dressed_intertwiner_tensors([HalfInt(tj) for tj in tjs], toward)
         if not dressed:
             return VolumeVertexOperator(vertex, edges, np.zeros((0, 0)), True)
@@ -804,8 +798,8 @@ def volume_vertex_matrix(
         labels = tuple("(" + " ".join(str(x) for x in tree) + ")" for tree, _ in dressed)
     else:
         stack = _identity_stack([tj + 1 for tj in tjs])
-    tvecs = [outgoing_tangent(graph, e, d == "start") for e, d in slots]
-    gens = [_slot_generators(tj, d == "start") for tj, (_, d) in zip(tjs, slots)]
+    tvecs = [outgoing_tangent(graph, e, away) for (e, _), away in zip(slots, aways)]
+    gens = [_slot_generators(tj, away) for tj, away in zip(tjs, aways)]
     n = stack.shape[-1]
     adjoint = stack.reshape(-1, n).conj().T
     mat = np.empty((n, n), dtype=complex)

@@ -13,11 +13,11 @@ throughout the package:
   the polynomial expansion.  Basis vectors are ordered by descending magnetic
   number m = j, j-1, ..., -j; for j = 1/2 the Wigner matrix is the group
   element itself and exp(theta tau_3) maps to diag(exp(-i m theta)).
-* The left realization L_i of the invariant derivative acts on the column
-  index of D^j_{mn}, the right realization R_i on the row index; both
-  families satisfy [X_i, X_j] = eps_{ijk} X_k and commute with each other.
-  They are anti-Hermitian; contraction with the (negative-definite) invariant
-  metric gives the Casimir -sum_i X_i^2 = j(j+1).
+* On f(h) = sum_mn c_mn D^j_mn(h) the left-invariant derivative L_i acts on
+  the column label n and gives d/dt f(h exp(t tau_i))|_0, the right-invariant
+  R_i on the row label m and gives d/dt f(exp(-t tau_i) h)|_0.  Both families
+  obey [X_i, X_j] = eps_{ijk} X_k, commute with each other and are -i times
+  one Hermitian triple (J on n, -J^T on m), so -sum_i X_i^2 = j(j+1).
 * Clebsch-Gordan coefficients follow the Condon-Shortley phase convention.
 """
 
@@ -456,24 +456,32 @@ def _angular_momentum(tj: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return jx, jy, jz
 
 
+@lru_cache(maxsize=None)
+def _slot_generators(tj: int, column: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The shared, read-only Hermitian triple on one label of D^j_{mn}: J on
+    the column label n, -J^T on the row label m."""
+    if column:
+        return _angular_momentum(tj)
+    mats = tuple(-m.T for m in _angular_momentum(tj))
+    for m in mats:
+        m.flags.writeable = False
+    return mats
+
+
 def invariant_generator(j, axis: int, side: str) -> np.ndarray:
     """Matrix realization of the invariant derivative along tau_axis.
 
-    side='left' acts on the column index of D^j_{mn}, side='right' on the row
-    index.  Both realizations are anti-Hermitian and obey
-    [X_i, X_j] = eps_{ijk} X_k; left and right commute as operators on the
-    span of the D^j coefficients (they touch different indices).
+    On the coefficients of f(h) = sum_mn c_mn D^j_mn(h), side='left' acts on
+    the column label n and gives d/dt f(h exp(t tau_axis))|_0, side='right'
+    on the row label m and gives d/dt f(exp(-t tau_axis) h)|_0.  Both are
+    anti-Hermitian, obey [X_i, X_j] = eps_{ijk} X_k and commute with each other.
     """
     j = HalfInt.of(j)
     if axis not in (1, 2, 3):
         raise ValueError("axis must be 1, 2 or 3")
-    jmat = angular_momentum(j)[axis - 1]
-    t = -1j * jmat  # representation of tau_axis
-    if side == "left":
-        return t
-    if side == "right":
-        return -t.T
-    raise ValueError("side must be 'left' or 'right'")
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    return -1j * _slot_generators(j.twice, side == "left")[axis - 1]
 
 
 def adjoint_rotation(g) -> np.ndarray:

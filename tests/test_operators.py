@@ -15,7 +15,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinnet import cyl, graphs, operators
+from spinnet import cyl, graphs, operators, su2
 from spinnet.graphs import EmbeddedGraph, Surface, punctures
 from spinnet.su2 import HalfInt, angular_momentum, haar_sample, wigner
 from spinnet.cyl import (
@@ -209,6 +209,25 @@ def test_gram_deviation_matches_the_dense_gram():
     for name, funs in families.items():
         dense = np.max(np.abs(cyl.gram(funs) - np.eye(len(funs))))
         assert operators._gram_deviation(funs).hex() == dense.hex(), name
+
+
+def test_gram_deviation_matches_the_dense_gram_in_any_label_order():
+    # each function lists its labels in its own random order, so the order
+    # of first appearance in the family differs from every dict order
+    g = star3_graph()
+    labels = [
+        ((1, m, n), (2, a, b), (1, n, m))
+        for m in (-1, 1) for n in (-1, 1) for a in (-2, 0, 2) for b in (-2, 0, 2)
+    ]
+    rng = np.random.default_rng(8)
+    for _ in range(100):
+        funs = []
+        for _ in range(int(rng.integers(1, 10))):
+            picked = rng.permutation(len(labels))[: int(rng.integers(0, 10))]
+            scale = 1e-9 if rng.random() < 0.5 else 1.0
+            funs.append(CylFun(g, {labels[i]: scale * complex(*rng.normal(size=2)) for i in picked}))
+        dense = np.max(np.abs(cyl.gram(funs) - np.eye(len(funs))))
+        assert operators._gram_deviation(funs).hex() == dense.hex()
 
 
 def melon_graph():
@@ -493,7 +512,7 @@ def _dense_area_reference(puncture, spins):
     for axis in range(3):
         comp = np.zeros_like(mat)
         for s, (d, tj, kappa) in enumerate(slots):
-            gen = operators._slot_generators(tj, d == "away")[axis]
+            gen = su2._slot_generators(tj, d == "away")[axis]
             comp += kappa * _kron_embed({s: gen}, dims)
         mat += comp @ comp
     return (mat + mat.conj().T) / 2.0
@@ -534,7 +553,7 @@ def test_vertex_generator_matches_kronecker_construction(n):
         dims = [tj + 1 for _, _, tj in slots]
         for axis in (1, 2, 3):
             ref = sum(
-                _kron_embed({s: operators._slot_generators(tj, d == "away")[axis - 1]}, dims)
+                _kron_embed({s: su2._slot_generators(tj, d == "away")[axis - 1]}, dims)
                 for s, (_, d, tj) in enumerate(slots)
             )
             got = vertex_generator(slots, axis)
@@ -654,6 +673,22 @@ def test_edge_vertex_operator_direction_handling():
         edge_vertex_operator(g, 0, 1, HALF, 1)  # edge 1 not incident at vertex 0
 
 
+def test_half_edge_directions_are_away_or_toward():
+    # the endpoint tags of half_edges_at are not slot directions
+    g = kink_graph()
+    with pytest.raises(ValueError, match="'start'"):
+        edge_vertex_operator(g, 1, 1, HALF, 1, direction="start")
+    with pytest.raises(ValueError, match="'end'"):
+        vertex_generator([(0, "away", 1), (1, "end", 1)], 3)
+
+
+@pytest.mark.parametrize("axis", [0, 4])
+def test_vertex_generator_rejects_an_axis_out_of_range(axis):
+    # axis 0 must not wrap round to the axis-3 generator
+    with pytest.raises(ValueError, match="axis"):
+        vertex_generator([(0, "away", 1), (1, "toward", 1)], axis)
+
+
 def test_vertex_generator_annihilates_singlet():
     # the total generator kills the two-spin singlet pairing
     slots = [(0, "away", 1), (1, "away", 1)]
@@ -747,7 +782,7 @@ def _dense_volume_reference(graph, vertex, spins, gauge_invariant):
     tvecs = [graphs.outgoing_tangent(graph, e, d == "start") for e, d in slots]
     dims = [tj + 1 for tj in tjs]
     size = int(np.prod(dims))
-    gens = [operators._slot_generators(tj, d == "start") for tj, (_, d) in zip(tjs, slots)]
+    gens = [su2._slot_generators(tj, d == "start") for tj, (_, d) in zip(tjs, slots)]
     mat = np.zeros((size, size), dtype=complex)
     for a, b, c in itertools.permutations(range(len(slots)), 3):
         eps = graphs.tangent_orientation(tvecs[a], tvecs[b], tvecs[c])

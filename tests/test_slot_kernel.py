@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinnet import operators
+from spinnet import operators, su2
 from spinnet.cyl import CylFun, promote
 from spinnet.graphs import EmbeddedGraph, Surface, identity_refinement, punctures
 from spinnet.su2 import HalfInt
@@ -57,7 +57,7 @@ def _ref_flux_columns(away, f, scale):
     def lookup(tjs):
         if tjs[0] == 0:
             return ()
-        a, b, c = operators._slot_generators(tjs[0], away)
+        a, b, c = su2._slot_generators(tjs[0], away)
         return _ref_column_table(scale * (f[0] * a + f[1] * b + f[2] * c), tjs)
 
     return lookup

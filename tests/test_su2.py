@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from spinnet import su2
 from spinnet.su2 import (
     TAU,
     WIGNER_ENTRY_MAX_TWICE,
@@ -367,7 +368,8 @@ def test_casimir_values_exact():
 
 
 def test_invariant_generator_is_derivative():
-    # side="left": d/dt D(exp(t tau_a) g)|_0 = L_a D(g)
+    # as matrices d/dt D(exp(t tau_a) g)|_0 = L_a D(g), with L_a = D(tau_a);
+    # the test below gives the action of both sides on coefficient labels
     j, eps = HalfInt(3), 1e-6
     g = rand_g()
     D = wigner(j, g).entries
@@ -379,6 +381,44 @@ def test_invariant_generator_is_derivative():
         assert np.max(np.abs(fd - L @ D)) < 1e-4
         # in any rep i L_a are the Hermitian angular momentum matrices
         assert np.allclose(1j * L, angular_momentum(j)[axis - 1], atol=1e-13)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_invariant_generator_acts_on_coefficient_labels(side):
+    # f(h) = sum_mn c_mn D^j_mn(h): side='left' on the column label n gives
+    # d/dt f(h exp(t tau_a))|_0, side='right' on the row label m gives
+    # d/dt f(exp(-t tau_a) h)|_0
+    rng = np.random.default_rng(31)
+    j, eps = HalfInt(3), 1e-6
+    h = haar_sample(rng)
+    c = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+
+    def f(g, coeffs):
+        return np.sum(coeffs * wigner(j, g).entries)
+
+    for axis in (1, 2, 3):
+        X = invariant_generator(j, axis, side)
+        e = GroupElement.exp([eps if a == axis else 0.0 for a in (1, 2, 3)])
+        if side == "left":
+            moved, acted = h @ e, c @ X.T  # (c X^T)_mn = sum_k X_nk c_mk
+        else:
+            moved, acted = e.inverse() @ h, X @ c  # (X c)_mn = sum_k X_mk c_kn
+        fd = (f(moved, c) - f(h, c)) / eps
+        assert abs(fd - f(h, acted)) < 1e-4
+
+
+def test_slot_generators_are_shared_and_read_only():
+    for tj in (1, 2, 3):
+        for column in (True, False):
+            mats = su2._slot_generators(tj, column)
+            assert su2._slot_generators(tj, column) is mats
+            for m in mats:
+                with pytest.raises(ValueError):
+                    m[0, 0] = 1.0
+            for axis in (1, 2, 3):
+                side = "left" if column else "right"
+                X = invariant_generator(HalfInt(tj), axis, side)
+                assert np.array_equal(X, -1j * mats[axis - 1])
 
 
 def test_spin_flip_dresses_transpose():
