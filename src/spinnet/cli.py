@@ -196,14 +196,25 @@ def _surfaces(doc: dict, path: str, need: int) -> list[Surface]:
     return [_build_surface(e, f"{path}: surfaces[{i}]") for i, e in enumerate(entries)]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _flag(entry: dict, key: str, loc: str, default: bool) -> bool:
+    value = entry.get(key, default)
+    if not isinstance(value, bool):
+        raise ParseError(loc, f"expected true or false, got {value!r}")
+    return value
+
+
 def _int_field(rec: dict, key: str, loc: str, default=None) -> int:
     if key not in rec:
         if default is None:
             raise ParseError(loc, f"missing integer field {key!r}")
         return default
     v = rec[key]
-    if not isinstance(v, int):
-        raise ParseError(loc, f"field {key!r} must be an integer twice-value, got {v!r}")
+    if not _is_int(v):
+        raise ParseError(loc, f"field {key!r} must be an integer, got {v!r}")
     return v
 
 
@@ -238,18 +249,15 @@ def _build_state(entry, graph: EmbeddedGraph, loc: str):
             raise ParseError(
                 loc, "no gauge-invariant state exists for this spin assignment"
             )
-        dims = []
-        n_vertex_slots = len(states[0].vertex_labels)
-        for v in range(n_vertex_slots):
-            dims.append(len({s.vertex_labels[v] for s in states}))
+        # options per occupied vertex; states run row-major over them
+        dims = [len(set(labels)) for labels in zip(*(s.vertex_labels for s in states))]
         idx = entry["intertwiners"]
-        if not isinstance(idx, list) or len(idx) != n_vertex_slots:
+        if not isinstance(idx, list) or len(idx) != len(dims):
             raise ParseError(
-                f"{loc}.intertwiners",
-                f"need one index per occupied vertex ({n_vertex_slots})",
+                f"{loc}.intertwiners", f"need one index per occupied vertex ({len(dims)})"
             )
         for k, (i, d) in enumerate(zip(idx, dims)):
-            if not isinstance(i, int) or not 0 <= i < d:
+            if not _is_int(i) or not 0 <= i < d:
                 raise ParseError(
                     f"{loc}.intertwiners[{k}]", f"index must be an integer in [0, {d})"
                 )
@@ -301,7 +309,7 @@ def _basis_spins(doc: dict, graph: EmbeddedGraph, path: str) -> list[HalfInt]:
         raise ParseError(f"{path}: basis.2j", f"need one twice-spin per edge ({graph.n_edges})")
     spins = []
     for i, t in enumerate(tjs):
-        if not isinstance(t, int) or t < 1:
+        if not _is_int(t) or t < 1:
             raise ParseError(f"{path}: basis.2j[{i}]", "twice-spins must be positive integers")
         spins.append(HalfInt(t))
     return spins
@@ -323,10 +331,7 @@ def _cmd_area_spectrum(doc, graph, config, path):
 
 def _region(doc: dict, path: str):
     region = doc.get("region", "all")
-    if region == "all" or (
-        isinstance(region, list)
-        and all(isinstance(v, int) and not isinstance(v, bool) for v in region)
-    ):
+    if region == "all" or (isinstance(region, list) and all(map(_is_int, region))):
         return region
     raise ParseError(f"{path}: region", f"expected 'all' or a list of vertex ids, got {region!r}")
 
@@ -355,7 +360,7 @@ def _cmd_holonomy(doc, graph, config, path):
         raise ParseError(f"{path}: connection", "need a mapping with a 3x3 'matrix'")
     mat = _as_float_array(entry["matrix"], f"{path}: connection.matrix", (3, 3))
     edge = doc.get("edge", 0)
-    if not isinstance(edge, int) or not 0 <= edge < graph.n_edges:
+    if not _is_int(edge) or not 0 <= edge < graph.n_edges:
         raise ParseError(f"{path}: edge", f"edge id {edge!r} out of range")
     h = holonomy(Connection(mat), graph.edges[edge].polyline).matrix
     rows = []
@@ -370,7 +375,7 @@ def _cmd_flux_matrix(doc, graph, config, path):
     surface = _surfaces(doc, path, 1)[0]
     f = _smearings(doc, path, 1)[0]
     spins = _basis_spins(doc, graph, path)
-    gauge = bool(doc.get("basis", {}).get("gauge_invariant", False))
+    gauge = _flag(doc["basis"], "gauge_invariant", f"{path}: basis.gauge_invariant", False)
     basis = states_for_spins(graph, spins, gauge_invariant=gauge)
     if not basis:
         raise ParseError(f"{path}: basis", "the requested basis is empty")
@@ -398,7 +403,7 @@ def _cmd_commutator_check(doc, graph, config, path):
 
 
 def _cmd_basis_enum(doc, graph, config, path):
-    gauge = bool(doc.get("gauge_invariant", True))
+    gauge = _flag(doc, "gauge_invariant", f"{path}: gauge_invariant", True)
     tmax = config.max_spin.twice
     if tmax < 1:
         raise ParseError("--max-spin", "must be at least 1 (twice-value)")

@@ -544,6 +544,9 @@ def promote(fun: CylFun, refinement: RefinementMap) -> CylFun:
     coefficients, and hence all inner products, exactly intact.  Each
     (coarse edge, label) pair is expanded once per call.
     """
+    if refinement.is_identity():  # expanding would only add each coefficient to 0j
+        coeffs = {l: 0j + c for l, c in fun.coefficients.items() if abs(c) > 1e-15}
+        return CylFun._trusted(refinement.fine, coeffs)
     fids = [fid for chain in refinement.chains.values() for fid, _ in chain]
     if len(set(fids)) != len(fids):
         raise ValueError("refinement chains overlap on a fine edge")
@@ -727,6 +730,18 @@ def spin_network_basis(
     return out
 
 
+def _tensor_entries(tensor: np.ndarray, keys, spins_at) -> list:
+    """The (coefficient, {(edge, 'm'|'n'): 2m}) entries of a vertex tensor
+    with |value| >= 1e-14, in ``np.ndenumerate`` order; index k on a slot of
+    spin j is 2m = 2j - 2k."""
+    tjs = [j.twice for j in spins_at]
+    return [
+        (complex(val), {key: tj - 2 * k for key, tj, k in zip(keys, tjs, idx)})
+        for idx, val in np.ndenumerate(tensor)
+        if abs(val) >= 1e-14
+    ]
+
+
 def states_for_spins(
     graph: EmbeddedGraph, spins, gauge_invariant: bool = True
 ) -> list[SpinNetworkState]:
@@ -738,6 +753,12 @@ def states_for_spins(
     magnetic indices at ordinary vertices are free, while the index pair at a
     spurious vertex is recoupled to total spin J with J = 0 excluded, again
     to avoid double-counting coarser graphs.
+
+    States run row-major over the occupied vertices in id order.  A vertex's
+    slots are its half-edges in ``half_edges_at`` order; its options are the
+    coupling trees of ``intertwiner_basis`` over those slots, free magnetic
+    labels (m descending, row-major over the slots), or recoupled (J, M)
+    pairs (J ascending, M descending).
     """
     spins = tuple(HalfInt.of(j) for j in spins)
     if len(spins) != graph.n_edges:
@@ -745,64 +766,42 @@ def states_for_spins(
     if any(j.twice <= 0 for j in spins):
         raise ValueError("spins must be positive; remove zero-spin edges from the graph")
 
-    vertex_slots = []
+    options = []  # per occupied vertex: a list of (vertex label, entries)
     for v in range(graph.n_vertices):
         slots = half_edges_at(graph, v)
-        if slots:
-            vertex_slots.append((v, slots))
-
-    families = []  # per vertex: list of (label, tensor) or ('free', dims)
-    for v, slots in vertex_slots:
+        if not slots:
+            continue
         spins_at = tuple(spins[e] for e, _ in slots)
+        keys = [(e, "n" if end == "start" else "m") for e, end in slots]
         toward_axes = [i for i, (_, end) in enumerate(slots) if end == "end"]
         spurious = is_spurious(graph, v)
         if gauge_invariant:
             if spurious:
                 return []
             tensors = _dressed_intertwiner_tensors(spins_at, toward_axes)
-            if not tensors:
-                return []
-            families.append(tensors)
         elif spurious and spins_at[0] == spins_at[1]:
-            families.append(_recoupled_tensors(spins_at[0], toward_axes))
+            tensors = _recoupled_tensors(spins_at[0], toward_axes)
         else:
-            dims = tuple(j.twice + 1 for j in spins_at)
-            tensors = []
-            for idx in itertools.product(*(range(d) for d in dims)):
-                T = np.zeros(dims, dtype=complex)
-                T[idx] = 1.0
-                label = tuple(magnetic_range(spins_at[i])[k] for i, k in enumerate(idx))
-                tensors.append((label, T))
-            families.append(tensors)
+            free = itertools.product(*(magnetic_range(j) for j in spins_at))
+            options.append(
+                [(ms, [(1 + 0j, {k: m.twice for k, m in zip(keys, ms)})]) for ms in free]
+            )
+            continue
+        if not tensors:
+            return []
+        options.append([(label, _tensor_entries(T, keys, spins_at)) for label, T in tensors])
 
     states = []
-    for combo in itertools.product(*families):
+    for combo in itertools.product(*options):
         partial: list[tuple[complex, dict]] = [(1.0 + 0j, {})]
-        for ((v, slots), (_, tensor)) in zip(vertex_slots, combo):
-            entries = []
-            for idx, val in np.ndenumerate(tensor):
-                if abs(val) < 1e-14:
-                    continue
-                assign = {}
-                for slot_i, (e, end) in enumerate(slots):
-                    mag = magnetic_range(spins[e])[idx[slot_i]]
-                    assign[(e, "n" if end == "start" else "m")] = mag.twice
-                entries.append((complex(val), assign))
+        for _, entries in combo:
             partial = [
                 (c0 * c1, {**d0, **d1}) for c0, d0 in partial for c1, d1 in entries
             ]
-        coeffs: dict[Labels, complex] = {}
-        for c, d in partial:
-            key = tuple(
-                (spins[e].twice, d[(e, "m")], d[(e, "n")]) for e in range(graph.n_edges)
-            )
-            coeffs[key] = coeffs.get(key, 0j) + c
-        states.append(
-            SpinNetworkState(
-                CylFun._trusted(graph, coeffs).prune(),
-                spins,
-                tuple(lab for lab, _ in combo),
-                gauge_invariant,
-            )
-        )
+        coeffs = {  # the products carry distinct labels, so none merge
+            tuple((j.twice, d[e, "m"], d[e, "n"]) for e, j in enumerate(spins)): 0j + c
+            for c, d in partial
+        }
+        fun = CylFun._trusted(graph, coeffs).prune()
+        states.append(SpinNetworkState(fun, spins, tuple(lab for lab, _ in combo), gauge_invariant))
     return states

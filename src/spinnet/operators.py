@@ -231,17 +231,6 @@ def _summed(actions):
     return image
 
 
-def _promote(fun: CylFun, refinement) -> CylFun:
-    """``promote(fun, refinement)`` without the chain expansion along an
-    identity refinement.  There promote only adds each coefficient to 0j,
-    which turns a -0.0 part into +0.0, and prunes |c| <= 1e-15; the same is
-    done here directly, with the same bits for finite coefficients."""
-    if not refinement.is_identity():
-        return promote(fun, refinement)
-    coeffs = {l: 0j + c for l, c in fun.coefficients.items() if abs(c) > 1e-15}
-    return CylFun._trusted(refinement.fine, coeffs)
-
-
 def _applied(graph, coeffs: dict, image_for) -> CylFun:
     """One operator application: ``image_for(codec)`` on coefficients
     encoded once, decoded once."""
@@ -317,7 +306,7 @@ def flux_apply(F: FluxSpec, psi: CylFun) -> CylFun:
     the surface maps to the zero function.
     """
     pr = punctures(psi.graph, F.surface)
-    fine = _promote(psi, pr.refinement)
+    fine = promote(psi, pr.refinement)
     return _applied(pr.graph, fine.coefficients, lambda codec: _flux_image(pr, F, codec))
 
 
@@ -384,7 +373,7 @@ def _operator_matrix(funs: Sequence[CylFun], refinement, image_for) -> np.ndarra
     exactly Hermitian.
     """
     _check_orthonormal(funs)
-    proms = [_promote(f, refinement).coefficients for f in funs]
+    proms = [promote(f, refinement).coefficients for f in funs]
     codec = _LabelCodec(refinement.fine.n_edges, proms)
     proms = [codec.encode(c) for c in proms]
     image = image_for(codec)
@@ -417,7 +406,7 @@ def _presubdivided(psi: CylFun, *specs: FluxSpec):
     fun = psi
     for F in specs:
         pr = punctures(fun.graph, F.surface)
-        fun = _promote(fun, pr.refinement)
+        fun = promote(fun, pr.refinement)
     return fun
 
 
@@ -507,7 +496,8 @@ def edge_vertex_operator(
     """Jhat_axis^{(v,e)} for the given incident edge carrying the given spin.
 
     ``direction`` is inferred from the graph ('away' if the edge starts at the
-    vertex) and must be supplied explicitly for a loop edge.
+    vertex) and must be supplied explicitly for a loop edge; for any other
+    edge an explicit ``direction`` must agree with the graph.
     """
     if axis not in (1, 2, 3):
         raise ValueError("axis must be 1, 2 or 3")
@@ -516,7 +506,10 @@ def edge_vertex_operator(
         raise ValueError(f"edge {edge} is not incident at vertex {vertex}")
     if direction is None and len(dirs) > 1:
         raise ValueError("loop edge: specify direction='away' or 'toward'")
-    away = dirs[0] == "start" if direction is None else _is_away(direction)
+    inferred = "away" if dirs[0] == "start" else "toward"
+    away = _is_away(inferred if direction is None else direction)
+    if len(dirs) == 1 and away != (inferred == "away"):
+        raise ValueError(f"edge {edge} points {inferred!r} at vertex {vertex}, not {direction!r}")
     mat = np.array(_slot_generators(HalfInt.of(spin).twice, away)[axis - 1])
     return EdgeVertexOperator(vertex, edge, axis, "away" if away else "toward", mat)
 
@@ -658,7 +651,7 @@ def area_apply(surface: Surface, psi: SpinNetworkState) -> CylFun:
     units of 4*pi*gamma*lP^2.  A state not meeting the surface maps to zero.
     """
     pr = punctures(psi.fun.graph, surface)
-    fine = _promote(psi.fun, pr.refinement)
+    fine = promote(psi.fun, pr.refinement)
     return _applied(pr.graph, fine.coefficients, lambda codec: _area_image(pr, psi.spins, codec))
 
 

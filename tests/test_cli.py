@@ -9,10 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 from spinnet import cli
 from spinnet.cli import main
-from spinnet.su2 import WIGNER_ENTRY_MAX_TWICE
+from spinnet.cyl import states_for_spins
+from spinnet.su2 import WIGNER_ENTRY_MAX_TWICE, HalfInt
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -293,6 +295,92 @@ def test_bad_intertwiner_index(tmp_path, capsys):
     )
     assert main(["--command", "inner-product", "--input", str(doc)]) == 1
     assert "intertwiners" in capsys.readouterr().err
+
+
+MELON = (
+    "vertices: [[0, 0, 0], [1, 0, 0]]\n"
+    "edges:\n"
+    "  - {from: 0, to: 1, polyline: [[0, 0, 0], [0.5, 0.7, 0], [1, 0, 0]]}\n"
+    "  - {from: 0, to: 1, polyline: [[0, 0, 0], [0.5, -0.7, 0], [1, 0, 0]]}\n"
+    "  - {from: 0, to: 1, polyline: [[0, 0, 0], [0.5, 0, 0.7], [1, 0, 0]]}\n"
+    "  - {from: 0, to: 1, polyline: [[0, 0, 0], [0.5, 0, -0.7], [1, 0, 0]]}\n"
+)
+MONOMIALS = MELON + (
+    "states:\n"
+    "  - edges: [{RECORD}, {edge: 1, 2j: 1}]\n"
+    "  - edges: [{edge: 0, 2j: 1}, {edge: 1, 2j: 1}]\n"
+)
+INTERTWINER_STATE = (
+    "  - edges: [{edge: 0, 2j: 1}, {edge: 1, 2j: 1}, {edge: 2, 2j: 1}, {edge: 3, 2j: 1}]\n"
+    "    intertwiners: "
+)
+KINKED = (FIXTURES / "kinked_crossing.yaml").read_text()
+
+# field: (command, job with a VALUE slot, a value of the wrong kind, where the
+# error must point).  A YAML boolean must not pass as an integer, nor a string
+# as a YAML boolean: bool("false") is True.
+WRONG_KIND = {
+    "edge": (
+        "holonomy",
+        "vertices: [[0, 0, 0], [1, 0, 0], [1, 1, 0]]\n"
+        "edges: [{from: 0, to: 1}, {from: 1, to: 2}]\n"
+        "edge: VALUE\n"
+        "connection: {matrix: [[0, 0, 0], [0, 0, 0], [2, 0, 0]]}\n",
+        "true", ": edge:",
+    ),
+    "states.edge": (
+        "inner-product", MONOMIALS.replace("RECORD", "edge: VALUE, 2j: 1"),
+        "true", "states[0].edges[0]: field 'edge'",
+    ),
+    "states.2j": (
+        "inner-product", MONOMIALS.replace("RECORD", "edge: 0, 2j: VALUE"),
+        "true", "states[0].edges[0]: field '2j'",
+    ),
+    "states.2m": (
+        "inner-product", MONOMIALS.replace("RECORD", "edge: 0, 2j: 1, 2m: VALUE"),
+        "true", "states[0].edges[0]: field '2m'",
+    ),
+    "states.2n": (
+        "inner-product", MONOMIALS.replace("RECORD", "edge: 0, 2j: 1, 2n: VALUE"),
+        "true", "states[0].edges[0]: field '2n'",
+    ),
+    "basis.2j": (
+        "flux-matrix", KINKED.replace("2j: [1, 1]", "2j: [VALUE, 1]"),
+        "true", "basis.2j[0]:",
+    ),
+    "intertwiners": (
+        "inner-product", MELON + "states:\n" + INTERTWINER_STATE + "[VALUE, 0]\n"
+        + INTERTWINER_STATE + "[0, 0]\n",
+        "true", "states[0].intertwiners[0]:",
+    ),
+    "gauge_invariant": (
+        "basis-enum", (FIXTURES / "theta.yaml").read_text() + "gauge_invariant: VALUE\n",
+        '"false"', ": gauge_invariant:",
+    ),
+    "basis.gauge_invariant": (
+        "flux-matrix", KINKED.replace("gauge_invariant: false", "gauge_invariant: VALUE"),
+        '"false"', "basis.gauge_invariant:",
+    ),
+}
+
+
+@pytest.mark.parametrize("field", WRONG_KIND)
+def test_exit_on_a_value_of_the_wrong_kind(tmp_path, capsys, field):
+    command, job, wrong, location = WRONG_KIND[field]
+    doc = tmp_path / "job.yaml"
+    doc.write_text(job.replace("VALUE", wrong))
+    code, text = run_cli(tmp_path, "--command", command, "--input", str(doc))
+    assert code == 1 and text == ""
+    assert location in capsys.readouterr().err
+
+
+def test_intertwiner_indices_select_row_major_over_the_vertices():
+    # vertex 0 varies slowest: indices [1, 0] pick the third of the 2 x 2 states
+    doc = yaml.safe_load(MELON + "states:\n" + INTERTWINER_STATE + "[1, 0]\n")
+    graph = cli._build_graph(doc, "job")
+    want = states_for_spins(graph, [HalfInt(1)] * 4)
+    got = cli._build_state(doc["states"][0], graph, "states[0]")
+    assert got.coefficients == want[2].fun.coefficients
 
 
 HOLONOMY_NAN_MATRIX = "connection:\n  matrix: [[0.0, 0.0, 0.0], [0.0, .nan, 0.0], [2.0, 0.0, 0.0]]\n"

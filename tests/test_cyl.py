@@ -1,9 +1,11 @@
 """Cylindrical functions: evaluation, Haar inner products, promotion under
 refinement, holonomies of connections, and spin-network bases."""
 
+import contextlib
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,10 +16,22 @@ from spinnet.graphs import (
     EmbeddedGraph,
     RefinementMap,
     common_refinement,
+    half_edges_at,
+    identity_refinement,
+    is_spurious,
     subdivide,
     subdivide_many,
 )
-from spinnet.su2 import TAU, GroupElement, HalfInt, LieVector, haar_sample, multiply, wigner
+from spinnet.su2 import (
+    TAU,
+    GroupElement,
+    HalfInt,
+    LieVector,
+    haar_sample,
+    magnetic_range,
+    multiply,
+    wigner,
+)
 from spinnet.cyl import (
     Connection,
     CylFun,
@@ -35,6 +49,7 @@ from spinnet.cyl import (
     transform_at_vertices,
     wilson_loop,
 )
+from spinnet import cyl
 from spinnet.cyl import TRIVIAL, _holonomy_steps
 
 V = np.array
@@ -348,6 +363,48 @@ def test_promote_rejects_overlapping_chains():
     rmap = RefinementMap(g, g, {0: ((0, 1),), 1: ((0, 1),)})
     with pytest.raises(ValueError, match="refinement chains overlap on a fine edge"):
         promote(monomial(g, [(HALF, HALF, HALF), (HALF, HALF, -HALF)]), rmap)
+
+
+def _assert_same_bits(got: dict, want: dict):
+    assert list(got) == list(want)
+    for g, w in zip(got.values(), want.values()):
+        assert type(g) is type(w)
+        assert (g.real.hex(), g.imag.hex()) == (w.real.hex(), w.imag.hex())
+
+
+def test_promote_identity_refinement_matches_term_by_term_expansion():
+    # no chain is expanded along an identity refinement, yet -0.0 parts must
+    # still come out as +0.0 and |c| <= 1e-15 must still be pruned
+    graph = kink_graph()
+    coeffs = {
+        ((1, 1, 1), (1, 1, 1)): complex(-0.0, 1.0),
+        ((1, 1, -1), (1, 1, 1)): complex(1.0, -0.0),
+        ((1, -1, 1), (1, 1, 1)): complex(-0.0, -0.0),
+        ((1, -1, -1), (1, 1, 1)): complex(1e-16, 0.0),
+        ((1, 1, 1), (1, 1, -1)): complex(-0.0, -5e-16),
+        ((1, 1, 1), (1, -1, 1)): complex(1e-15, 0.0),
+        ((1, 1, 1), (1, -1, -1)): complex(2e-15, -0.0),
+        ((0, 0, 0), (1, -1, -1)): complex(-3.0, -0.0),
+        ((2, 0, -2), (0, 0, 0)): complex(-0.0, 0.5),
+    }
+    fun = CylFun._trusted(graph, coeffs)  # the public constructor would clear the -0.0 parts
+    rmap = identity_refinement(graph)
+    got = promote(fun, rmap)
+    want = _promote_reference(fun, rmap)
+    assert got.graph is graph
+    assert len(want) == 5
+    _assert_same_bits(got.coefficients, want)
+
+
+def test_promote_identity_refinement_expands_no_chain(monkeypatch):
+    graph = kink_graph()
+    fun = CylFun(graph, {((1, 1, 1), (1, 1, 1)): 1.0})
+
+    def refuse(*args):
+        raise AssertionError("chain expanded along an identity refinement")
+
+    monkeypatch.setattr(cyl, "_chain_expansion", refuse)
+    assert promote(fun, identity_refinement(graph)).n_terms == 1
 
 
 # ---------------------------------------------------------------------------
@@ -682,3 +739,149 @@ def test_loop_state_is_character():
     val = evaluate(states[0].fun, [u1, u2])
     char = wigner(1, multiply(u2, u1)).trace()
     assert abs(abs(val) - abs(char)) < 1e-12
+
+
+def _states_for_spins_reference(graph, spins, gauge_invariant):
+    """The one-hot construction that ``states_for_spins`` must reproduce bit
+    for bit: every free magnetic label gets a dense one-hot tensor, and every
+    combination of vertex options scans each vertex tensor again."""
+    spins = tuple(HalfInt.of(j) for j in spins)
+    vertex_slots = []
+    for v in range(graph.n_vertices):
+        slots = half_edges_at(graph, v)
+        if slots:
+            vertex_slots.append((v, slots))
+    families = []
+    for v, slots in vertex_slots:
+        spins_at = tuple(spins[e] for e, _ in slots)
+        toward_axes = [i for i, (_, end) in enumerate(slots) if end == "end"]
+        spurious = is_spurious(graph, v)
+        if gauge_invariant:
+            if spurious:
+                return []
+            tensors = cyl._dressed_intertwiner_tensors(spins_at, toward_axes)
+            if not tensors:
+                return []
+            families.append(tensors)
+        elif spurious and spins_at[0] == spins_at[1]:
+            families.append(cyl._recoupled_tensors(spins_at[0], toward_axes))
+        else:
+            dims = tuple(j.twice + 1 for j in spins_at)
+            tensors = []
+            for idx in itertools.product(*(range(d) for d in dims)):
+                T = np.zeros(dims, dtype=complex)
+                T[idx] = 1.0
+                label = tuple(magnetic_range(spins_at[i])[k] for i, k in enumerate(idx))
+                tensors.append((label, T))
+            families.append(tensors)
+    states = []
+    for combo in itertools.product(*families):
+        partial = [(1.0 + 0j, {})]
+        for (v, slots), (_, tensor) in zip(vertex_slots, combo):
+            entries = []
+            for idx, val in np.ndenumerate(tensor):
+                if abs(val) < 1e-14:
+                    continue
+                assign = {}
+                for slot_i, (e, end) in enumerate(slots):
+                    mag = magnetic_range(spins[e])[idx[slot_i]]
+                    assign[(e, "n" if end == "start" else "m")] = mag.twice
+                entries.append((complex(val), assign))
+            partial = [(c0 * c1, {**d0, **d1}) for c0, d0 in partial for c1, d1 in entries]
+        coeffs = {}
+        for c, d in partial:
+            key = tuple((spins[e].twice, d[(e, "m")], d[(e, "n")]) for e in range(graph.n_edges))
+            coeffs[key] = coeffs.get(key, 0j) + c
+        coeffs = {l: c for l, c in coeffs.items() if abs(c) > 1e-15}
+        states.append((spins, tuple(lab for lab, _ in combo), coeffs))
+    return states
+
+
+def _oriented(specs, flips):
+    """Edge specs (start, end[, polyline]) with the flagged ones reversed."""
+    out = []
+    for spec, flip in zip(specs, flips):
+        if flip:
+            spec = (spec[1], spec[0]) + tuple(p[::-1] for p in spec[2:])
+        out.append(spec)
+    return out
+
+
+STAR_TIPS = V([[1.0, 0.2, 0.3], [-0.4, 1.0, 0.2], [-0.6, -0.7, 0.5], [0.3, -0.4, -1.0]])
+THETA_ARCS = [
+    (0, 1),
+    (0, 1, V([[0.0, 0.0, 0.0], [0.5, 0.7, 0.0], [1.0, 0.0, 0.0]])),
+    (0, 1, V([[0.0, 0.0, 0.0], [0.5, 0.0, 0.7], [1.0, 0.0, 0.0]])),
+]
+LOOP_CORNERS = V([[0.0, 0.0, 0.0], [1.0, 0.1, 0.0], [1.2, 1.0, 0.3], [0.1, 0.9, -0.4]])
+
+
+@st.composite
+def _spin_network_cases(draw):
+    """A graph with random edge orientations, positive spins and a mode: a
+    1-4-valent star, a closed loop of 2-4 edges, two loop edges joined by a
+    third edge, a theta graph, or a line or square with a straight-through
+    vertex (equal or unequal spins there)."""
+    kinds = ["star", "loop", "loop-edges", "theta", "spurious-line", "spurious-square"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "star":
+        k = draw(st.integers(1, 4))
+        vertices = np.vstack([np.zeros(3), STAR_TIPS[:k]])
+        specs = [(0, i + 1) for i in range(k)]
+    elif kind == "loop":
+        k = draw(st.integers(2, 4))
+        if k == 2:  # a bigon: two arcs between two vertices
+            vertices, specs = V([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), THETA_ARCS[:2]
+        else:
+            vertices = LOOP_CORNERS[:k]
+            specs = [(i, (i + 1) % k) for i in range(k)]
+    elif kind == "loop-edges":
+        vertices = V([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        specs = [
+            (0, 1),
+            (0, 0, V([[0.0, 0.0, 0.0], [-0.5, 0.5, 0.0], [-0.5, -0.5, 0.3], [0.0, 0.0, 0.0]])),
+            (1, 1, V([[1.0, 0.0, 0.0], [1.5, 0.5, 0.0], [1.5, -0.5, -0.3], [1.0, 0.0, 0.0]])),
+        ]
+    elif kind == "theta":
+        vertices, specs = V([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), THETA_ARCS
+    elif kind == "spurious-line":
+        vertices = V([[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        specs = [(0, 1), (1, 2)]
+    else:  # vertex 1 sits straight through on the side from vertex 0 to vertex 2
+        vertices = V([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+        specs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
+    n = len(specs)
+    flips = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    graph = EmbeddedGraph.build(vertices, _oriented(specs, flips))
+    top = 3 if n <= 3 else 2 if n == 4 else 1
+    twice = draw(st.lists(st.integers(1, top), min_size=n, max_size=n))
+    if kind.startswith("spurious") and draw(st.booleans()):
+        twice[1] = twice[0]  # equal spins recouple at the straight-through vertex
+    return graph, [HalfInt(t) for t in twice], draw(st.booleans())
+
+
+def _under_the_cut(tensors_of):
+    """Vertex tensors with every zero entry set to 8e-15: under the 1e-14 cut
+    of the vertex entries, but over the 1e-15 prune once multiplied out."""
+
+    def noisy(*args):
+        return [(label, np.where(T == 0, 8e-15, T)) for label, T in tensors_of(*args)]
+
+    return noisy
+
+
+@settings(max_examples=80, deadline=None)
+@given(_spin_network_cases(), st.booleans())
+def test_states_for_spins_matches_the_one_hot_construction(case, noisy):
+    graph, spins, gauge_invariant = case
+    with contextlib.ExitStack() as stack:
+        if noisy:
+            for name in ("_dressed_intertwiner_tensors", "_recoupled_tensors"):
+                stack.enter_context(mock.patch.object(cyl, name, _under_the_cut(getattr(cyl, name))))
+        got = states_for_spins(graph, spins, gauge_invariant)
+        want = _states_for_spins_reference(graph, spins, gauge_invariant)
+    assert len(got) == len(want)
+    for state, (w_spins, w_labels, w_coeffs) in zip(got, want):
+        assert state.fun.graph is graph and state.gauge_invariant is gauge_invariant
+        assert (state.spins, state.vertex_labels) == (w_spins, w_labels)
+        _assert_same_bits(state.fun.coefficients, w_coeffs)

@@ -673,6 +673,31 @@ def test_edge_vertex_operator_direction_handling():
         edge_vertex_operator(g, 0, 1, HALF, 1)  # edge 1 not incident at vertex 0
 
 
+def test_edge_vertex_operator_refuses_a_contradicting_direction():
+    # on the path 0 -> 1 -> 2, edge 0 ends at vertex 1 and edge 1 starts there
+    g = kink_graph()
+    assert edge_vertex_operator(g, 1, 0, HALF, 3, direction="toward").direction == "toward"
+    assert edge_vertex_operator(g, 1, 1, HALF, 3, direction="away").direction == "away"
+    with pytest.raises(ValueError, match="edge 0 points 'toward' at vertex 1, not 'away'"):
+        edge_vertex_operator(g, 1, 0, 1, 3, direction="away")
+    with pytest.raises(ValueError, match="edge 1 points 'away' at vertex 1, not 'toward'"):
+        edge_vertex_operator(g, 1, 1, 1, 3, direction="toward")
+
+
+def test_edge_vertex_operator_needs_a_direction_on_a_loop_edge():
+    # edge 1 leaves vertex 0 and comes back to it
+    g = EmbeddedGraph.build(
+        V([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+        [(0, 1), (0, 0, V([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.5], [0.0, 0.0, 0.0]]))],
+    )
+    with pytest.raises(ValueError, match="loop edge"):
+        edge_vertex_operator(g, 0, 1, HALF, 3)
+    away = edge_vertex_operator(g, 0, 1, HALF, 3, direction="away")
+    toward = edge_vertex_operator(g, 0, 1, HALF, 3, direction="toward")
+    assert (away.direction, toward.direction) == ("away", "toward")
+    assert np.array_equal(toward.matrix, -away.matrix.T)
+
+
 def test_half_edge_directions_are_away_or_toward():
     # the endpoint tags of half_edges_at are not slot directions
     g = kink_graph()

@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinnet import operators, su2
-from spinnet.cyl import CylFun, promote
-from spinnet.graphs import EmbeddedGraph, Surface, identity_refinement, punctures
+from spinnet.graphs import EmbeddedGraph, Surface, punctures
 from spinnet.su2 import HalfInt
 
 V = np.array
@@ -251,40 +250,3 @@ def test_area_spin_mismatch_raises_like_tuple_kernel():
     with pytest.raises(ValueError) as got:
         operators._area_image(pr, spins, codec)(codec.encode(coeffs))
     assert str(got.value) == str(want.value) == "edge 1 carries spin 1, expected 1/2"
-
-
-# ---------------------------------------------------------------------------
-# promotion along identity refinements
-
-
-def test_identity_refinement_skip_matches_promote():
-    graph = _star([[1, 0, 0], [0, 1, 0]])
-    coeffs = {
-        ((1, 1, 1), (1, 1, 1)): complex(-0.0, 1.0),
-        ((1, 1, -1), (1, 1, 1)): complex(1.0, -0.0),
-        ((1, -1, 1), (1, 1, 1)): complex(-0.0, -0.0),
-        ((1, -1, -1), (1, 1, 1)): complex(1e-16, 0.0),
-        ((1, 1, 1), (1, 1, -1)): complex(-0.0, -5e-16),
-        ((1, 1, 1), (1, -1, 1)): complex(1e-15, 0.0),
-        ((1, 1, 1), (1, -1, -1)): complex(2e-15, -0.0),
-        ((0, 0, 0), (1, -1, -1)): complex(-3.0, -0.0),
-        ((2, 0, -2), (0, 0, 0)): complex(-0.0, 0.5),
-    }
-    fun = CylFun._trusted(graph, coeffs)  # the public constructor would clear the -0.0 parts
-    same = identity_refinement(graph)
-    skipped = operators._promote(fun, same)
-    want = promote(fun, same)
-    assert skipped.graph is want.graph
-    assert len(want.coefficients) == 5
-    _assert_same_bytes(skipped.coefficients, want.coefficients)
-
-
-def test_identity_refinement_skip_calls_no_promote(monkeypatch):
-    graph = _star([[1, 0, 0], [0, 1, 0]])
-    fun = CylFun(graph, {((1, 1, 1), (1, 1, 1)): 1.0})
-
-    def refuse(*args):
-        raise AssertionError("promote called along an identity refinement")
-
-    monkeypatch.setattr(operators, "promote", refuse)
-    assert operators._promote(fun, identity_refinement(graph)).n_terms == 1
