@@ -34,6 +34,7 @@ from .cyl import (
     mc_inner_product,
     states_for_spins,
 )
+from .cyl import _state_from_options, _vertex_options
 from .graphs import (
     EmbeddedGraph,
     IllPosedIntersectionError,
@@ -89,14 +90,26 @@ class JobConfig:
     def validate(self) -> None:
         if self.command not in COMMANDS:
             raise ParseError("--command", f"unknown command {self.command!r}")
-        if not self.gamma > 0:
-            raise ParseError("--gamma", "the Immirzi parameter must be positive")
-        if not self.c > 0:
-            raise ParseError("--c", "the volume constant must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise ParseError("--gamma", "the Immirzi parameter must be positive and finite")
+        if not 0 < self.c < math.inf:
+            raise ParseError("--c", "the volume constant must be positive and finite")
+        # (8*pi*gamma)^(3/2) overflows long before 4*pi*gamma, so this bounds both scales
+        if _volume_unit(self.gamma) == math.inf:
+            raise ParseError("--gamma", "the output scale (8*pi*gamma)^(3/2) overflows")
+        if _volume_unit(self.gamma) * self.c == math.inf:
+            raise ParseError("--c", "the output scale (8*pi*gamma)^(3/2) * c overflows")
         if self.samples < 1:
             raise ParseError("--samples", "need at least one sample")
         if self.fmt not in ("csv", "pretty"):
             raise ParseError("--format", f"unknown format {self.fmt!r}")
+
+
+def _volume_unit(gamma: float) -> float:
+    try:
+        return (8.0 * math.pi * gamma) ** 1.5
+    except OverflowError:  # float ** raises where float * gives inf
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -240,29 +253,30 @@ def _build_state(entry, graph: EmbeddedGraph, loc: str):
             if e not in per_edge:
                 raise ParseError(loc, f"edge {e} has no spin record")
             rec, rloc = per_edge[e]
+            for key in ("2m", "2n"):
+                if key in rec:
+                    raise ParseError(rloc, f"field {key!r} is fixed by the intertwiners")
             tj = _int_field(rec, "2j", rloc)
             if tj < 1:
                 raise ParseError(rloc, "intertwiner states need positive spins on every edge")
             spins.append(HalfInt(tj))
-        states = states_for_spins(graph, spins, gauge_invariant=True)
-        if not states:
+        options = _vertex_options(graph, spins, gauge_invariant=True)
+        if not all(options):
             raise ParseError(
                 loc, "no gauge-invariant state exists for this spin assignment"
             )
-        # options per occupied vertex; states run row-major over them
-        dims = [len(set(labels)) for labels in zip(*(s.vertex_labels for s in states))]
         idx = entry["intertwiners"]
-        if not isinstance(idx, list) or len(idx) != len(dims):
+        if not isinstance(idx, list) or len(idx) != len(options):
             raise ParseError(
-                f"{loc}.intertwiners", f"need one index per occupied vertex ({len(dims)})"
+                f"{loc}.intertwiners", f"need one index per occupied vertex ({len(options)})"
             )
-        for k, (i, d) in enumerate(zip(idx, dims)):
-            if not _is_int(i) or not 0 <= i < d:
+        for k, (i, opts) in enumerate(zip(idx, options)):
+            if not _is_int(i) or not 0 <= i < len(opts):
                 raise ParseError(
-                    f"{loc}.intertwiners[{k}]", f"index must be an integer in [0, {d})"
+                    f"{loc}.intertwiners[{k}]", f"index must be an integer in [0, {len(opts)})"
                 )
-        flat = int(np.ravel_multi_index(idx, dims))
-        return states[flat].fun
+        chosen = [opts[i] for opts, i in zip(options, idx)]
+        return _state_from_options(graph, spins, chosen, gauge_invariant=True).fun
     labels = [(0, 0, 0)] * graph.n_edges
     for e, (rec, rloc) in per_edge.items():
         tj = _int_field(rec, "2j", rloc)
@@ -319,14 +333,17 @@ def _basis_spins(doc: dict, graph: EmbeddedGraph, path: str) -> list[HalfInt]:
 # commands -> rows
 
 
-def _spectrum_rows(spec: Spectrum, scale: float) -> list[tuple]:
-    return [(scale * e.value, e.multiplicity, e.labels) for e in spec]
+def _spectrum_rows(spec: Spectrum, scale: float, flags: str) -> list[tuple]:
+    rows = [(scale * e.value, e.multiplicity, e.labels) for e in spec]
+    if not all(math.isfinite(v) for v, _, _ in rows):
+        raise ParseError(flags, "a scaled spectrum value overflows")
+    return rows
 
 
 def _cmd_area_spectrum(doc, graph, config, path):
     surface = _surfaces(doc, path, 1)[0]
     spec = area_spectrum(graph, surface, config.max_spin)
-    return _spectrum_rows(spec, 4.0 * math.pi * config.gamma)
+    return _spectrum_rows(spec, 4.0 * math.pi * config.gamma, "--gamma")
 
 
 def _region(doc: dict, path: str):
@@ -338,7 +355,7 @@ def _region(doc: dict, path: str):
 
 def _cmd_volume_spectrum(doc, graph, config, path):
     spec = volume_spectrum(graph, _region(doc, path), config.max_spin, c=config.c)
-    return _spectrum_rows(spec, (8.0 * math.pi * config.gamma) ** 1.5)
+    return _spectrum_rows(spec, _volume_unit(config.gamma), "--gamma/--c")
 
 
 def _cmd_inner_product(doc, graph, config, path):
@@ -407,11 +424,11 @@ def _cmd_basis_enum(doc, graph, config, path):
     tmax = config.max_spin.twice
     if tmax < 1:
         raise ParseError("--max-spin", "must be at least 1 (twice-value)")
-    # count one spin assignment at a time, so only its states are held at once
+    # count each assignment from its per-vertex option counts, building no state
     rows = []
     for twice in itertools.product(range(1, tmax + 1), repeat=graph.n_edges):
         spins = [HalfInt(t) for t in twice]
-        n = len(states_for_spins(graph, spins, gauge))
+        n = math.prod(len(opts) for opts in _vertex_options(graph, spins, gauge))
         if n:
             rows.append((float(n), 1, " ".join(f"e{e}={j}" for e, j in enumerate(spins))))
     rows.append((sum(n for n, _, _ in rows), 1, "total states"))

@@ -742,6 +742,45 @@ def _tensor_entries(tensor: np.ndarray, keys, spins_at) -> list:
     ]
 
 
+def _vertex_options(graph: EmbeddedGraph, spins, gauge_invariant: bool) -> list:
+    """Each occupied vertex's (vertex label, entries) options in id order; an
+    empty list at any vertex leaves the (validated) spins without a state."""
+    options = []
+    for v in range(graph.n_vertices):
+        slots = half_edges_at(graph, v)
+        if not slots:
+            continue
+        spins_at = tuple(spins[e] for e, _ in slots)
+        keys = [(e, "n" if end == "start" else "m") for e, end in slots]
+        toward_axes = [i for i, (_, end) in enumerate(slots) if end == "end"]
+        spurious = is_spurious(graph, v)
+        if gauge_invariant:
+            tensors = [] if spurious else _dressed_intertwiner_tensors(spins_at, toward_axes)
+        elif spurious and spins_at[0] == spins_at[1]:
+            tensors = _recoupled_tensors(spins_at[0], toward_axes)
+        else:
+            free = itertools.product(*(magnetic_range(j) for j in spins_at))
+            options.append(
+                [(ms, [(1 + 0j, {k: m.twice for k, m in zip(keys, ms)})]) for ms in free]
+            )
+            continue
+        options.append([(label, _tensor_entries(T, keys, spins_at)) for label, T in tensors])
+    return options
+
+
+def _state_from_options(graph, spins, combo, gauge_invariant) -> SpinNetworkState:
+    """The state of one (vertex label, entries) option per occupied vertex."""
+    partial: list[tuple[complex, dict]] = [(1.0 + 0j, {})]
+    for _, entries in combo:
+        partial = [(c0 * c1, {**d0, **d1}) for c0, d0 in partial for c1, d1 in entries]
+    coeffs = {  # the products carry distinct labels, so none merge
+        tuple((j.twice, d[e, "m"], d[e, "n"]) for e, j in enumerate(spins)): 0j + c
+        for c, d in partial
+    }
+    fun = CylFun._trusted(graph, coeffs).prune()
+    return SpinNetworkState(fun, tuple(spins), tuple(lab for lab, _ in combo), gauge_invariant)
+
+
 def states_for_spins(
     graph: EmbeddedGraph, spins, gauge_invariant: bool = True
 ) -> list[SpinNetworkState]:
@@ -765,43 +804,7 @@ def states_for_spins(
         raise ValueError("need one spin per edge")
     if any(j.twice <= 0 for j in spins):
         raise ValueError("spins must be positive; remove zero-spin edges from the graph")
-
-    options = []  # per occupied vertex: a list of (vertex label, entries)
-    for v in range(graph.n_vertices):
-        slots = half_edges_at(graph, v)
-        if not slots:
-            continue
-        spins_at = tuple(spins[e] for e, _ in slots)
-        keys = [(e, "n" if end == "start" else "m") for e, end in slots]
-        toward_axes = [i for i, (_, end) in enumerate(slots) if end == "end"]
-        spurious = is_spurious(graph, v)
-        if gauge_invariant:
-            if spurious:
-                return []
-            tensors = _dressed_intertwiner_tensors(spins_at, toward_axes)
-        elif spurious and spins_at[0] == spins_at[1]:
-            tensors = _recoupled_tensors(spins_at[0], toward_axes)
-        else:
-            free = itertools.product(*(magnetic_range(j) for j in spins_at))
-            options.append(
-                [(ms, [(1 + 0j, {k: m.twice for k, m in zip(keys, ms)})]) for ms in free]
-            )
-            continue
-        if not tensors:
-            return []
-        options.append([(label, _tensor_entries(T, keys, spins_at)) for label, T in tensors])
-
-    states = []
-    for combo in itertools.product(*options):
-        partial: list[tuple[complex, dict]] = [(1.0 + 0j, {})]
-        for _, entries in combo:
-            partial = [
-                (c0 * c1, {**d0, **d1}) for c0, d0 in partial for c1, d1 in entries
-            ]
-        coeffs = {  # the products carry distinct labels, so none merge
-            tuple((j.twice, d[e, "m"], d[e, "n"]) for e, j in enumerate(spins)): 0j + c
-            for c, d in partial
-        }
-        fun = CylFun._trusted(graph, coeffs).prune()
-        states.append(SpinNetworkState(fun, spins, tuple(lab for lab, _ in combo), gauge_invariant))
-    return states
+    return [
+        _state_from_options(graph, spins, combo, gauge_invariant)
+        for combo in itertools.product(*_vertex_options(graph, spins, gauge_invariant))
+    ]

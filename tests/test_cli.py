@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line front end against the shipped job
 documents, plus the exit-code contract."""
 
+import itertools
 import math
 import os
 import resource
@@ -8,13 +9,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinnet import cli
+from spinnet import cli, cyl
 from spinnet.cli import main
 from spinnet.cyl import states_for_spins
-from spinnet.su2 import WIGNER_ENTRY_MAX_TWICE, HalfInt
+from spinnet.graphs import EmbeddedGraph
+from spinnet.su2 import WIGNER_ENTRY_MAX_TWICE, HalfInt, intertwiner_basis
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -255,6 +260,40 @@ def test_exit_on_usage_errors(tmp_path, capsys):
     assert "gamma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, fixture, flags, flag",
+    [
+        # used to print a nan row and an inf row at exit 0
+        ("area-spectrum", "one_crossing.yaml", ["--max-spin", "1", "--gamma", "1e308"], "--gamma"),
+        # used to print nan rows at exit 0, with a numpy RuntimeWarning
+        ("volume-spectrum", "star4.yaml", ["--max-spin", "1", "--c", "inf"], "--c"),
+        # used to exit 1 with only "(34, 'Numerical result out of range')"
+        ("volume-spectrum", "star4.yaml", ["--max-spin", "1", "--gamma", "1e300"], "--gamma"),
+        ("volume-spectrum", "star4.yaml", ["--max-spin", "1", "--c", "1e307"], "--c"),
+        # the scale (8*pi*gamma)^(3/2) is finite, but the 2j = 4 values overflow
+        ("volume-spectrum", "star4.yaml", ["--max-spin", "4", "--gamma", "1.2e204"], "--gamma/--c"),
+    ],
+)
+def test_exit_on_an_overflowing_output_scale(tmp_path, capsys, command, fixture, flags, flag):
+    args = ["--command", command, "--input", str(FIXTURES / fixture), *flags]
+    code, text = run_cli(tmp_path, *args)
+    err = capsys.readouterr().err
+    assert code == 1 and text == ""
+    assert err.startswith(f"error: {flag}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("record", ["2m: -1", "2n: 7", "2m: -1, 2n: 7"])
+def test_exit_on_magnetic_labels_in_an_intertwiner_state(tmp_path, capsys, record):
+    # the intertwiners fix the magnetic labels; these fields used to be ignored
+    text = (FIXTURES / "theta.yaml").read_text()
+    doc = tmp_path / "theta.yaml"
+    doc.write_text(text.replace("{edge: 0, 2j: 1}", f"{{edge: 0, 2j: 1, {record}}}", 1))
+    code, out = run_cli(tmp_path, "--command", "inner-product", "--input", str(doc))
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert "states[0].edges[0]: field '2" in err
+
+
 def test_exit_missing_sections(tmp_path, capsys):
     doc = tmp_path / "nosurf.yaml"
     doc.write_text("vertices: [[0, 0, -1], [0, 0, 1]]\nedges:\n  - {from: 0, to: 1}\n")
@@ -381,6 +420,142 @@ def test_intertwiner_indices_select_row_major_over_the_vertices():
     want = states_for_spins(graph, [HalfInt(1)] * 4)
     got = cli._build_state(doc["states"][0], graph, "states[0]")
     assert got.coefficients == want[2].fun.coefficients
+
+
+def _build_state_reference(graph, spins, idx):
+    """The rule ``cli._build_state`` used before it built only the chosen
+    state: build every gauge-invariant state, read the grid size off the
+    distinct vertex labels, and index the flat list row-major."""
+    states = states_for_spins(graph, spins, gauge_invariant=True)
+    dims = [len(set(labels)) for labels in zip(*(s.vertex_labels for s in states))]
+    return states[int(np.ravel_multi_index(idx, dims))].fun
+
+
+# midpoints of the arcs of a melon graph from (0, 0, 0) to (1, 0, 0); None is the straight edge
+MELON_BENDS = [None, (0.5, 0.7, 0.0), (0.5, -0.7, 0.0), (0.5, 0.0, 0.7), (0.5, 0.0, -0.7)]
+STAR_TIPS = [(1.0, 0.2, 0.3), (-0.4, 1.0, 0.2), (-0.6, -0.7, 0.5), (0.3, -0.4, -1.0)]
+
+
+@st.composite
+def _intertwiner_jobs(draw):
+    """A melon graph of 2-5 arcs (3 is the theta graph) or a 1-4-valent
+    star, with random edge orientations and twice-spins, plus intertwiner
+    indices drawn inside the option grid when the spins admit a state."""
+    kind = draw(st.sampled_from(["melon", "melon", "melon", "star"]))
+    if kind == "melon":
+        n = draw(st.integers(2, 5))
+        vertices = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        specs = [(0, 1)] + [
+            (0, 1, np.array([[0.0, 0.0, 0.0], bend, [1.0, 0.0, 0.0]])) for bend in MELON_BENDS[1:n]
+        ]
+    else:
+        n = draw(st.integers(1, 4))
+        vertices = np.vstack([np.zeros(3), STAR_TIPS[:n]])
+        specs = [(0, i + 1) for i in range(n)]
+    flips = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    specs = [(s[1], s[0], *(p[::-1] for p in s[2:])) if f else s for s, f in zip(specs, flips)]
+    graph = EmbeddedGraph.build(vertices, specs)
+    top = 3 if n <= 4 else 2
+    twice = draw(st.lists(st.integers(1, top), min_size=n, max_size=n))
+    if kind == "melon" and sum(twice) % 2:  # an odd total has no intertwiner
+        twice[-1] += 1 if twice[-1] < top else -1
+    states = states_for_spins(graph, [HalfInt(t) for t in twice])
+    dims = [len(set(labels)) for labels in zip(*(s.vertex_labels for s in states))]
+    idx = [draw(st.integers(0, d - 1)) for d in dims]
+    return graph, twice, idx if states else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(_intertwiner_jobs())
+def test_build_state_matches_the_build_every_state_rule(job):
+    graph, twice, idx = job
+    entry = {
+        "edges": [{"edge": e, "2j": t} for e, t in enumerate(twice)],
+        "intertwiners": idx if idx is not None else [0, 0],
+    }
+    if idx is None:
+        with pytest.raises(cli.ParseError, match="no gauge-invariant state exists"):
+            cli._build_state(entry, graph, "states[0]")
+        return
+    got = cli._build_state(entry, graph, "states[0]").coefficients
+    want = _build_state_reference(graph, [HalfInt(t) for t in twice], idx).coefficients
+    assert list(got) == list(want)
+    for g, w in zip(got.values(), want.values()):
+        assert (g.real.hex(), g.imag.hex()) == (w.real.hex(), w.imag.hex())
+
+
+SIX_SPIN_ONE_EDGES = (
+    "vertices: [[0, 0, 0], [1, 0, 0]]\n"
+    "edges:\n"
+    + "".join(
+        f"  - {{from: 0, to: 1, polyline: [[0, 0, 0], {list(bend)}, [1, 0, 0]]}}\n"
+        for bend in MELON_BENDS[1:] + [(0.5, 0.5, 0.5)]
+    )
+    + "  - {from: 1, to: 0, polyline: [[1, 0, 0], [0.5, -0.5, -0.5], [0, 0, 0]]}\n"
+    + "states:\n"
+    + ("  - edges: [" + ", ".join(f"{{edge: {e}, 2j: 2}}" for e in range(6)) + "]\n"
+       "    intertwiners: [3, 7]\n") * 2
+)
+
+
+def test_intertwiner_state_builds_only_the_chosen_state(tmp_path, monkeypatch):
+    # 15 x 15 options on two vertices: one combination per listed state, not 225
+    calls = []
+    combine = cyl._state_from_options
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return combine(*args, **kwargs)
+
+    monkeypatch.setattr(cyl, "_state_from_options", counted)
+    monkeypatch.setattr(cli, "_state_from_options", counted)
+    doc = tmp_path / "six.yaml"
+    doc.write_text(SIX_SPIN_ONE_EDGES)
+    code, text = run_cli(tmp_path, "--command", "inner-product", "--input", str(doc))
+    assert code == 0 and rows(text)[0][0] == pytest.approx(1.0, abs=1e-12)
+    assert [[label for label, _ in combo] for combo in calls] == [
+        [intertwiner_basis([HalfInt(2)] * 6).trees[k] for k in (3, 7)]
+    ] * 2
+
+
+# a square loop whose vertex 1 sits straight through on its bottom side
+STRAIGHT_THROUGH = (
+    "vertices: [[0, 0, 0], [0.5, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]\n"
+    "edges:\n"
+    + "".join(f"  - {{from: {v}, to: {(v + 1) % 5}}}\n" for v in range(5))
+)
+
+
+@pytest.mark.parametrize(
+    "job, gauge_invariant, max_spin",
+    [
+        ("theta", True, 3),  # 2j = (1, 1, 1) and others have no intertwiner
+        ("theta", False, 2),
+        ("star4", True, 2),
+        ("star4", False, 1),
+        ("straight-through", True, 2),  # a spurious vertex: no invariant state at all
+        ("straight-through", False, 1),  # recoupled (J, M) pairs there
+    ],
+)
+def test_basis_enum_counts_equal_the_built_states(tmp_path, job, gauge_invariant, max_spin):
+    text = STRAIGHT_THROUGH if job == "straight-through" else (FIXTURES / f"{job}.yaml").read_text()
+    doc = tmp_path / "job.yaml"
+    doc.write_text(text + f"gauge_invariant: {str(gauge_invariant).lower()}\n")
+    code, out = run_cli(
+        tmp_path, "--command", "basis-enum", "--input", str(doc), "--max-spin", str(max_spin)
+    )
+    assert code == 0
+    graph = cli._build_graph(yaml.safe_load(text), "job")
+    want = []
+    for twice in itertools.product(range(1, max_spin + 1), repeat=graph.n_edges):
+        spins = [HalfInt(t) for t in twice]
+        n = len(states_for_spins(graph, spins, gauge_invariant))
+        if n:
+            want.append((float(n), 1, " ".join(f"e{e}={j}" for e, j in enumerate(spins))))
+    want.append((sum(n for n, _, _ in want), 1, "total states"))
+    assert rows(out) == want
+    if job == "straight-through" and gauge_invariant:
+        assert want == [(0, 1, "total states")]
 
 
 HOLONOMY_NAN_MATRIX = "connection:\n  matrix: [[0.0, 0.0, 0.0], [0.0, .nan, 0.0], [2.0, 0.0, 0.0]]\n"

@@ -919,6 +919,23 @@ def test_volume_four_valent_tridiagonal_in_coupling_basis(tj):
     assert np.max(np.abs(mat[np.abs(rows - cols) != 1]), initial=0.0) <= tol
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 6), st.integers(0, 2**32 - 1))
+def test_volume_vertex_eigenvalues_come_in_plus_minus_pairs(valence, seed):
+    # in the real intertwiner basis q_v is i times a real antisymmetric
+    # matrix, so its spectrum is symmetric about zero
+    rng = np.random.default_rng(seed)
+    toward = tuple(np.flatnonzero(rng.random(valence) < 0.4))
+    g = _star(rng.normal(size=(valence, 3)), toward)
+    top = 3 if valence <= 4 else 2
+    twice = rng.integers(1, top + 1, size=valence)
+    if twice.sum() % 2:  # an odd total has no intertwiner
+        twice[-1] += 1 if twice[-1] < top else -1
+    spins = [HalfInt(int(t)) for t in twice]
+    eigs = np.linalg.eigvalsh(volume_vertex_matrix(g, 0, spins).matrix)
+    assert np.max(np.abs(eigs + eigs[::-1]), initial=0.0) <= 1e-10
+
+
 def test_volume_spectrum_star_region():
     spec = volume_spectrum(star4_graph(), [0], HALF)
     vol = math.sqrt(3.0 * SQ3 / 48.0)
