@@ -67,13 +67,19 @@ print("disjoint-surface commutator norm:",
       flux_commutator_closed_form(F1, F3, psi).norm())
 
 # And a flux squared is a multiple of the identity on a single transverse
-# spin-1/2 puncture: |f|^2/4, whatever the smearing direction.
-line = EmbeddedGraph.build(V([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]]), [(0, 1)])
+# spin-1/2 half-edge: an edge that starts on the patch gives F = (1/2) f.J,
+# so F^2 = |f|^2/16, whatever the smearing direction.  (An edge running
+# through the patch gives zero here: its two half-edges insert J on the new
+# vertex's intermediate index, which the unsubdivided basis sums over, and J
+# is traceless.)
+line = EmbeddedGraph.build(V([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), [(0, 1)])
 f_dir = V([0.6, -0.3, 0.7])
 spec_line = FluxSpec(z_patch, f_dir)
 basis_line = states_for_spins(line, [0.5], gauge_invariant=False)
 M = flux_matrix(spec_line, basis_line)
 sq = M @ M
-print("\nF^2 on the spin-1/2 crossing (should be |f|^2/4 x identity):")
-print("  diagonal:", np.round(np.diag(sq).real, 6), " |f|^2/4 =", float(f_dir @ f_dir) / 4)
+expected = float(f_dir @ f_dir) / 16
+print("\nF^2 on a spin-1/2 edge starting on the patch (should be |f|^2/16 x identity):")
+print("  diagonal:", np.round(np.diag(sq).real, 6), " |f|^2/16 =", expected)
 print("  off-diagonal max:", np.max(np.abs(sq - np.diag(np.diag(sq)))))
+print("  equals |f|^2/16 x identity:", bool(np.allclose(sq, expected * np.eye(len(basis_line)))))

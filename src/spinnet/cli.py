@@ -354,7 +354,10 @@ def _region(doc: dict, path: str):
 
 
 def _cmd_volume_spectrum(doc, graph, config, path):
-    spec = volume_spectrum(graph, _region(doc, path), config.max_spin, c=config.c)
+    try:
+        spec = volume_spectrum(graph, _region(doc, path), config.max_spin, c=config.c)
+    except OverflowError as exc:
+        raise ParseError("--c", str(exc)) from exc
     return _spectrum_rows(spec, _volume_unit(config.gamma), "--gamma/--c")
 
 

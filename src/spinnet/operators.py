@@ -362,26 +362,29 @@ def _check_orthonormal(funs: Sequence[CylFun]) -> None:
         )
 
 
-def _operator_matrix(funs: Sequence[CylFun], refinement, image_for) -> np.ndarray:
-    """Matrix of an operator in an orthonormal basis of functions.
+def _operator_matrix(basis, surface: Surface, image) -> np.ndarray:
+    """Matrix of a surface operator in an orthonormal basis of states or functions.
 
-    ``image_for(codec)`` gives the operator's image map on int-keyed
-    coefficient dicts of the refined graph.  Promotion is an isometry, so
-    matrix elements are taken between the promoted functions, one image
-    column at a time through an index from label key to basis rows.  The raw
-    matrix is checked to be Hermitian to HERMITICITY_TOL and returned
-    exactly Hermitian.
+    ``image(pr, codec)`` gives the operator's image map on int-keyed
+    coefficient dicts of the graph punctured by ``surface``, for whatever
+    spins the labels carry.  Promotion is an isometry, so matrix elements
+    are taken between the promoted functions, one image column at a time
+    through an index from label key to basis rows.  The raw matrix is
+    checked to be Hermitian to HERMITICITY_TOL and returned exactly
+    Hermitian.
     """
+    funs = _state_funs(basis)
+    pr = punctures(funs[0].graph, surface)
     _check_orthonormal(funs)
-    proms = [promote(f, refinement).coefficients for f in funs]
-    codec = _LabelCodec(refinement.fine.n_edges, proms)
+    proms = [promote(f, pr.refinement).coefficients for f in funs]
+    codec = _LabelCodec(pr.graph.n_edges, proms)
     proms = [codec.encode(c) for c in proms]
-    image = image_for(codec)
+    image_map = image(pr, codec)
     rows = _row_index(proms)
     n = len(funs)
     mat = np.zeros((n, n), dtype=complex)
     for j, coeffs in enumerate(proms):
-        for i, v in _column(rows, image(coeffs)).items():
+        for i, v in _column(rows, image_map(coeffs)).items():
             mat[i, j] = v
     adjoint = mat.conj().T
     B = _HERMITICITY_BLOCK_ROWS  # rows at a time: no n x n difference is held
@@ -396,9 +399,7 @@ def _operator_matrix(funs: Sequence[CylFun], refinement, image_for) -> np.ndarra
 def flux_matrix(F: FluxSpec, basis) -> np.ndarray:
     """Matrix of the flux derivation in an orthonormal basis of states,
     checked to be Hermitian to HERMITICITY_TOL and returned exactly Hermitian."""
-    funs = _state_funs(basis)
-    pr = punctures(funs[0].graph, F.surface)
-    return _operator_matrix(funs, pr.refinement, lambda codec: _flux_image(pr, F, codec))
+    return _operator_matrix(basis, F.surface, lambda pr, codec: _flux_image(pr, F, codec))
 
 
 def _presubdivided(psi: CylFun, *specs: FluxSpec):
@@ -598,8 +599,11 @@ def area_vertex_matrix(puncture: Puncture, spins) -> AreaVertexOperator:
 
 
 def _sqrt_psd(mat: np.ndarray) -> np.ndarray:
+    """Square root of a puncture's -Delta.  Its eigenvalues are 0 or at least
+    (j_u - j_d)^2 + j_u + j_d >= 3/4, so ones below 1e-9 are the rounding
+    noise of 0 and count as 0: a zero area reads 0, not about 1e-8."""
     w, v = np.linalg.eigh(mat)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    return (v * np.sqrt(np.where(w < 1e-9, 0.0, w))) @ v.conj().T
 
 
 def _coarse_parents(refinement) -> dict[int, int]:
@@ -607,66 +611,49 @@ def _coarse_parents(refinement) -> dict[int, int]:
     return {fe: ce for ce, chain in refinement.chains.items() for fe, _sign in chain}
 
 
-def _fine_spins(pr, coarse_spins) -> list[HalfInt]:
-    """Spin per fine edge, inherited from the coarse parent through the chains."""
-    parent = _coarse_parents(pr.refinement)
-    return [HalfInt.of(coarse_spins[parent[fe]]) for fe in range(len(pr.graph.edges))]
-
-
-def _area_image(pr, coarse_spins, codec: _LabelCodec):
+def _area_image(pr, codec: _LabelCodec):
     """sum_p sqrt(-Delta_p) on int-keyed coefficient dicts of ``codec`` on the
-    punctured graph; entries of sqrt(-Delta_p) of magnitude up to 1e-15 are
-    dropped."""
-    spins = _fine_spins(pr, coarse_spins)
+    punctured graph, built per puncture for each tuple of spins its labels
+    carry; entries of sqrt(-Delta_p) of magnitude up to 1e-15 are dropped."""
     actions = []
     for p in pr.punctures:
-        op = area_vertex_matrix(p, spins)
-        if not op.slots:
+        transverse = [he for he in p.half_edges if he.kappa != 0]
+        if not transverse:
             continue  # all half-edges tangent: zero contribution
-        smat = _sqrt_psd(op.matrix)
-        smat[np.abs(smat) <= 1e-15] = 0.0
-        slots = [(e, _is_away(d)) for e, d, _ in op.slots]
-        actions.append(_SlotAction(codec, slots, _fixed_spin_matrix(op.slots, smat)))
+
+        def matrix_for(tjs, p=p, edges=tuple(he.edge for he in transverse)):
+            smat = _sqrt_psd(area_vertex_matrix(p, dict(zip(edges, map(HalfInt, tjs)))).matrix)
+            smat[np.abs(smat) <= 1e-15] = 0.0
+            return smat
+
+        slots = [(he.edge, _is_away(he.direction)) for he in transverse]
+        actions.append(_SlotAction(codec, slots, matrix_for))
     return _summed(actions)
 
 
-def _fixed_spin_matrix(slots, mat):
-    """``matrix_for`` of a matrix built for the spins listed in ``slots``;
-    other spins on those edges raise ``ValueError``."""
+def area_apply(surface: Surface, psi: Union[SpinNetworkState, CylFun]) -> CylFun:
+    """sum_p sqrt(-Delta_p) applied to a spin-network state or a function.
 
-    def matrix_for(tjs):
-        for (e, _, tj), t in zip(slots, tjs):
-            if t != tj:
-                raise ValueError(f"edge {e} carries spin {HalfInt(t)}, expected {HalfInt(tj)}")
-        return mat
-
-    return matrix_for
-
-
-def area_apply(surface: Surface, psi: SpinNetworkState) -> CylFun:
-    """sum_p sqrt(-Delta_p) applied to a spin-network state.
-
-    Each puncture operator is diagonalized, its eigenvalues replaced by their
-    square roots, and the result applied to the label slots.  Values are in
-    units of 4*pi*gamma*lP^2.  A state not meeting the surface maps to zero.
+    Each puncture operator is built for the spins the labels carry,
+    diagonalized, its eigenvalues replaced by their square roots, and the
+    result applied to the label slots.  Values are in units of
+    4*pi*gamma*lP^2.  A function not meeting the surface maps to zero.
     """
-    pr = punctures(psi.fun.graph, surface)
-    fine = promote(psi.fun, pr.refinement)
-    return _applied(pr.graph, fine.coefficients, lambda codec: _area_image(pr, psi.spins, codec))
+    (fun,) = _state_funs([psi])
+    pr = punctures(fun.graph, surface)
+    fine = promote(fun, pr.refinement)
+    return _applied(pr.graph, fine.coefficients, lambda codec: _area_image(pr, codec))
 
 
 def area_matrix(surface: Surface, basis) -> np.ndarray:
-    """Matrix of the area operator in an orthonormal basis of spin-network states.
+    """Matrix of the area operator in an orthonormal basis of spin-network
+    states or functions on one graph, with any mix of spin assignments.
 
-    All states must share one graph and one spin assignment.  The matrix is
-    checked to be Hermitian to HERMITICITY_TOL and returned exactly Hermitian.
+    The operator is diagonal in the edge spins, so states of different
+    assignments meet in exact zero blocks.  The matrix is checked to be
+    Hermitian to HERMITICITY_TOL and returned exactly Hermitian.
     """
-    funs = _state_funs(basis)
-    spins = basis[0].spins
-    if any(b.spins != spins for b in basis[1:]):
-        raise ValueError("basis states must share one spin assignment")
-    pr = punctures(funs[0].graph, surface)
-    return _operator_matrix(funs, pr.refinement, lambda codec: _area_image(pr, spins, codec))
+    return _operator_matrix(basis, surface, _area_image)
 
 
 def _area_eigenvalue(tu: int, td: int, tud: int) -> float:
@@ -814,7 +801,8 @@ def volume_spectrum(
     ``region`` is "all" or an iterable of vertex ids; gauge invariance is
     imposed at the selected vertices only, and spin assignments admitting no
     intertwiner at some selected vertex are skipped.  Eigenvalues |q| below
-    1e-12 are clipped to zero before the square root.  Values are in units of
+    1e-12 are clipped to zero before the square root; a volume that overflows
+    raises OverflowError.  Values are in units of
     (8*pi*gamma*lP^2)^(3/2); multiplicity counts realizing choices.  The
     enumeration is exhaustive, as in area_spectrum.
     """
@@ -841,7 +829,9 @@ def volume_spectrum(
             mag = abs(float(lam))
             if mag < VOLUME_ZERO_CLIP:
                 mag = 0.0
-            vol = c * np.sqrt(mag / 48.0)
+            vol = float(c) * math.sqrt(mag / 48.0)  # Python floats: overflow gives inf, no warning
+            if not math.isfinite(vol):
+                raise OverflowError(f"the volume constant c = {c!r} makes a vertex volume overflow")
             opts.append((vol, f"v{v} vol={vol:.6g}"))
         return opts
 

@@ -635,7 +635,9 @@ def intertwiner_basis(spins: Iterable) -> IntertwinerBasis:
     """Invariant vectors of V_{j1} x ... x V_{jn} by sequential coupling.
 
     Couples slots left to right, keeps the coupling paths that end at total
-    spin 0, and re-orthonormalizes the resulting columns.
+    spin 0, and re-orthonormalizes the resulting columns.  A path is dropped
+    as soon as its accumulated spin cannot couple with the remaining slots to
+    spin 0, which leaves the kept columns and their order unchanged.
     """
     spins = tuple(HalfInt.of(j) for j in spins)
     if not spins:
@@ -643,11 +645,14 @@ def intertwiner_basis(spins: Iterable) -> IntertwinerBasis:
     total_dim = math.prod(_dim(j) for j in spins)
     # paths: (accumulated spin J, embedding of V_J into the product so far, tree)
     paths = [(spins[0], np.eye(_dim(spins[0])), ())]
-    for j in spins[1:]:
+    for k, j in enumerate(spins[1:], start=1):
+        reach = total_spins(spins[k + 1 :])
         nxt = []
         for acc, embed, tree in paths:
             # (embed x identity) @ block, without forming the Kronecker product
             for block in clebsch_gordan(acc, j):
+                if block.j not in reach:
+                    continue
                 rows = block.matrix.reshape(embed.shape[1], -1)
                 grown = (embed @ rows).reshape(-1, block.matrix.shape[1])
                 nxt.append((block.j, grown, tree + (block.j,)))

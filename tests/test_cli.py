@@ -272,6 +272,14 @@ def test_exit_on_usage_errors(tmp_path, capsys):
         ("volume-spectrum", "star4.yaml", ["--max-spin", "1", "--c", "1e307"], "--c"),
         # the scale (8*pi*gamma)^(3/2) is finite, but the 2j = 4 values overflow
         ("volume-spectrum", "star4.yaml", ["--max-spin", "4", "--gamma", "1.2e204"], "--gamma/--c"),
+        # the scale is finite, but c times a 2j = 4 vertex volume overflows inside the
+        # library, which used to print a numpy RuntimeWarning first
+        (
+            "volume-spectrum",
+            "star4.yaml",
+            ["--max-spin", "4", "--gamma", "1e-10", "--c", "1.7e308"],
+            "--c",
+        ),
     ],
 )
 def test_exit_on_an_overflowing_output_scale(tmp_path, capsys, command, fixture, flags, flag):

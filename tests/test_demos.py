@@ -1,4 +1,5 @@
-"""Every script in demos/ runs to completion against the source tree."""
+"""Every script in demos/ runs to completion against the source tree and
+prints exactly the stdout recorded in golden/demos/<script stem>.txt."""
 
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = Path(__file__).resolve().parent / "golden" / "demos"
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
@@ -19,8 +21,9 @@ def test_demo_runs(script):
         cwd=ROOT,
         env=env,
         capture_output=True,
-        text=True,
         timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert "Traceback" not in proc.stderr
+    stderr = proc.stderr.decode(errors="replace")
+    assert proc.returncode == 0, stderr
+    assert "Traceback" not in stderr
+    assert proc.stdout == (GOLDEN / f"{script.stem}.txt").read_bytes()

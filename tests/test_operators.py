@@ -274,9 +274,7 @@ def test_operator_matrices_match_entrywise_dots(basis, surface):
     flux = flux_matrix(F, basis)
     area = area_matrix(surface, basis)
     flux_ref = _dot_matrix(funs, pr.refinement, lambda codec: operators._flux_image(pr, F, codec))
-    area_ref = _dot_matrix(
-        funs, pr.refinement, lambda codec: operators._area_image(pr, basis[0].spins, codec)
-    )
+    area_ref = _dot_matrix(funs, pr.refinement, lambda codec: operators._area_image(pr, codec))
     # the flux compresses to zero on gauge-invariant states (a vector
     # operator between scalars), the area does not
     assert np.max(np.abs(area_ref)) > 1.0
@@ -1034,8 +1032,86 @@ def test_internal_results_skip_label_checks_and_rebuild_equal(monkeypatch):
         assert CylFun(fun.graph, fun.coefficients).coefficients == fun.coefficients, name
 
 
-def test_area_apply_rejects_mismatched_spins():
-    psi = states_for_spins(star3_graph(), [HALF, HALF, 1], gauge_invariant=False)[0]
-    wrong = type(psi)(psi.fun, (HalfInt(2), HalfInt(1), HalfInt(2)), psi.vertex_labels, False)
-    with pytest.raises(ValueError, match="edge 0 carries spin 1/2, expected 1"):
-        area_apply(Z_PATCH, wrong)
+
+# ---------------------------------------------------------------------------
+# the area reads its spins from the labels it acts on
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_area_matrix_on_mixed_spin_assignments_is_the_direct_sum():
+    g = star3_graph()
+    first = states_for_spins(g, [HALF, HALF, 1], gauge_invariant=False)
+    second = states_for_spins(g, [1, HALF, HALF], gauge_invariant=False)
+    n = len(first)
+    A = area_matrix(Z_PATCH, first + second)
+    assert _same_bytes(A[:n, :n], area_matrix(Z_PATCH, first))
+    assert _same_bytes(A[n:, n:], area_matrix(Z_PATCH, second))
+    assert not A[:n, n:].any() and not A[n:, :n].any()
+
+
+def test_area_apply_on_a_function_equals_on_its_state():
+    state = states_for_spins(star3_graph(), [HALF, 1, HALF], gauge_invariant=False)[7]
+    got = area_apply(X_PATCH, state.fun)
+    want = area_apply(X_PATCH, state)
+    assert got.n_terms > 0 and graphs_equal(got.graph, want.graph)
+    assert list(got.coefficients) == list(want.coefficients)
+    values = [np.array(list(f.coefficients.values())) for f in (got, want)]
+    assert _same_bytes(*values)
+
+
+@st.composite
+def _punctured_stars(draw):
+    """A star of 2-4 straight edges from the origin, each pointing away or
+    toward it with 2j <= 2, and a patch through the origin with a random
+    normal; every edge crosses the patch plane, on the side its sign gives,
+    at an angle between asin(0.2) and asin(0.9), so no two edges coincide."""
+    angle = st.floats(0.0, 2.0 * math.pi)
+    theta, phi = draw(st.floats(0.0, math.pi)), draw(angle)
+    normal = V([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)])
+    u = np.cross(normal, [1.0, 0.0, 0.0] if abs(normal[0]) < 0.9 else [0.0, 1.0, 0.0])
+    u /= np.linalg.norm(u)
+    w = np.cross(normal, u)
+    n_edges = draw(st.integers(2, 4))
+    start = draw(angle)
+    tips, edges, sides, tjs = [[0.0, 0.0, 0.0]], [], [], []
+    for k in range(n_edges):
+        # azimuths at least pi / n_edges apart: no two edges overlap
+        az = start + 2.0 * math.pi * k / n_edges + draw(st.floats(0.0, math.pi / n_edges))
+        side, lift = draw(st.sampled_from([1, -1])), draw(st.floats(0.2, 0.9))
+        flat = math.sqrt(1.0 - lift * lift)
+        tips.append(side * lift * normal + flat * (math.cos(az) * u + math.sin(az) * w))
+        edges.append((k + 1, 0) if draw(st.booleans()) else (0, k + 1))
+        sides.append(side)
+        tjs.append(draw(st.integers(0, 2)))
+    graph = EmbeddedGraph.build(V(tips), edges)
+    return graph, patch([0, 0, 0], normal, u, w), sides, tjs
+
+
+@settings(max_examples=40, deadline=None)
+@given(_punctured_stars())
+def test_area_matrix_eigenvalues_match_the_coupling_closed_form(case):
+    # the far ends of the edges hold their highest label, so the basis spans
+    # the slot space at the centre once
+    graph, surface, sides, tjs = case
+    assert len(punctures(graph, surface).punctures) == 1
+    basis = []
+    for mags in itertools.product(*(range(tj, -tj - 1, -2) for tj in tjs)):
+        labels = tuple(
+            (tj, tj, tm) if edge.start == 0 else (tj, tm, tj)
+            for edge, tj, tm in zip(graph.edges, tjs, mags)
+        )
+        basis.append(CylFun(graph, {labels: 1.0 + 0j}))
+    expect = []
+    up = su2.total_spins([HalfInt(tj) for tj, side in zip(tjs, sides) if side > 0])
+    down = su2.total_spins([HalfInt(tj) for tj, side in zip(tjs, sides) if side < 0])
+    for (ju, nu), (jd, nd) in itertools.product(up.items(), down.items()):
+        tu, td = ju.twice, jd.twice
+        for tud in range(abs(tu - td), tu + td + 1, 2):
+            lam = (2 * tu * (tu + 2) + 2 * td * (td + 2) - tud * (tud + 2)) / 4.0
+            expect += [math.sqrt(lam)] * (nu * nd * (tud + 1))
+    got = np.linalg.eigvalsh(area_matrix(surface, basis))
+    assert got.shape == (len(expect),)
+    assert np.max(np.abs(got - np.sort(expect))) < 1e-10

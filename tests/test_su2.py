@@ -3,7 +3,11 @@ angular momentum, Clebsch-Gordan blocks and intertwiners."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -527,6 +531,59 @@ def test_intertwiner_vectors_are_invariant():
     for j in spins:
         D = np.kron(D, wigner(j, g).entries)
     assert np.max(np.abs(D @ V - V)) < 1e-12
+
+
+def _unpruned_intertwiner_basis(spins):
+    """intertwiner_basis as it was before coupling paths were pruned: every
+    path is carried to the last slot and the spin-0 ones kept there."""
+    spins = tuple(HalfInt.of(j) for j in spins)
+    total_dim = math.prod(j.twice + 1 for j in spins)
+    paths = [(spins[0], np.eye(spins[0].twice + 1), ())]
+    for j in spins[1:]:
+        nxt = []
+        for acc, embed, tree in paths:
+            for block in clebsch_gordan(acc, j):
+                rows = block.matrix.reshape(embed.shape[1], -1)
+                grown = (embed @ rows).reshape(-1, block.matrix.shape[1])
+                nxt.append((block.j, grown, tree + (block.j,)))
+        paths = nxt
+    zero = HalfInt(0)
+    columns = [embed[:, 0] for acc, embed, tree in paths if acc == zero]
+    trees = tuple(tree for acc, embed, tree in paths if acc == zero)
+    if not columns:
+        return trees, np.zeros((total_dim, 0))
+    q, r = np.linalg.qr(np.column_stack(columns))
+    return trees, q * np.sign(np.diag(r))[np.newaxis, :]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=5))
+def test_pruned_intertwiner_basis_equals_unpruned_bitwise(tjs):
+    if len(tjs) == 5:
+        tjs = [min(t, 3) for t in tjs]
+    basis = intertwiner_basis([HalfInt(t) for t in tjs])
+    trees, vectors = _unpruned_intertwiner_basis([HalfInt(t) for t in tjs])
+    assert basis.trees == trees
+    assert basis.vectors.shape == vectors.shape
+    assert basis.vectors.tobytes() == vectors.tobytes()
+
+
+def test_four_spin_8_intertwiners_fit_in_3_gb():
+    # unpruned, the last coupling step of four spin-8 slots needs more than
+    # 3 GB of address space and raises MemoryError
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+        "from spinnet.su2 import HalfInt, intertwiner_basis\n"
+        "print(intertwiner_basis([HalfInt(16)] * 4).dimension)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "17\n"
 
 
 # ---------------------------------------------------------------------------
