@@ -51,7 +51,7 @@ from .su2 import (
     su2_exp,
     wigner,
 )
-from .su2 import _mag_index, _quaternion_entries, _wigner_entry_kernel
+from .su2 import _quaternion_entries, _wigner_entry_kernel
 
 __all__ = [
     "Connection",
@@ -445,10 +445,7 @@ def evaluate(fun: CylFun, assignment) -> complex:
             if W is None:
                 W = wigner(HalfInt(tj), GroupElement(mats[e])).entries
                 wig[key] = W
-            j = HalfInt(tj)
-            term *= math.sqrt(tj + 1) * W[
-                _mag_index(j, HalfInt(tm)), _mag_index(j, HalfInt(tn))
-            ]
+            term *= math.sqrt(tj + 1) * W[(tj - tm) // 2, (tj - tn) // 2]
         total += term
     return total
 
@@ -637,8 +634,11 @@ def mc_inner_product(
     """Monte Carlo check of the Haar inner product.
 
     Draws i.i.d. Haar tuples, averages conj(f1) * f2, and returns the
-    estimate with the standard error of the mean.
+    estimate with the standard error of the mean.  ``samples`` must be at
+    least 1.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if not graphs_equal(f1.graph, f2.graph):
         _, m1, m2 = common_refinement(f1.graph, f2.graph)
         f1 = promote(f1, m1)

@@ -34,7 +34,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -263,25 +262,16 @@ class FluxSpec:
         return v
 
 
-def _smeared(f: np.ndarray):
-    """f . A per (twice-spin, side) for the su2 slot triples A, once each."""
-
-    @lru_cache(maxsize=None)
-    def fJ(tj: int, away: bool) -> np.ndarray:
-        a, b, c = _slot_generators(tj, away)
-        return f[0] * a + f[1] * b + f[2] * c
-
-    return fJ
-
-
-def _insertion(codec: _LabelCodec, edge: int, away: bool, fJ, scale) -> _SlotAction:
-    """scale * (f . Jhat) on one half-edge slot."""
+def _insertion(codec: _LabelCodec, edge: int, away: bool, f, scale) -> _SlotAction:
+    """scale * (f . Jhat) on one half-edge slot for the smearing vector f;
+    the action builds the matrix once per spin it meets."""
 
     def matrix_for(tjs):
         (tj,) = tjs
         if tj == 0:
             return None  # trivial representation: generators vanish
-        return scale * fJ(tj, away)
+        a, b, c = _slot_generators(tj, away)
+        return scale * (f[0] * a + f[1] * b + f[2] * c)
 
     return _SlotAction(codec, [(edge, away)], matrix_for)
 
@@ -290,11 +280,11 @@ def _flux_image(pr, F: FluxSpec, codec: _LabelCodec):
     """F on int-keyed coefficient dicts of ``codec`` on the punctured graph."""
     actions = []
     for p in pr.punctures:
-        fJ = _smeared(F.components_at(p.point))
+        f = F.components_at(p.point)
         for he in p.half_edges:
             if he.kappa != 0:  # tangent half-edges do not contribute
                 away = _is_away(he.direction)
-                actions.append(_insertion(codec, he.edge, away, fJ, 0.5 * he.kappa))
+                actions.append(_insertion(codec, he.edge, away, f, 0.5 * he.kappa))
     return _summed(actions)
 
 
@@ -334,53 +324,37 @@ def _column(rows: dict, image: dict) -> dict:
     return column
 
 
-def _gram_deviation(funs: Sequence[CylFun]) -> float:
-    """max |G - I| for the Gram matrix G of ``funs``, one column at a time.
-
-    Column c sums over the labels of funs[c] in order of first appearance, as
-    the sparse product of ``gram`` sums its row c, so each entry conjugates
-    that row's entry and has the same magnitude bit for bit."""
-    rows = _row_index(f.coefficients for f in funs)
-    order = {lab: k for k, lab in enumerate(rows)}
-    dev = 0.0
-    for c, f in enumerate(funs):
-        coeffs = f.coefficients
-        column = _column(rows, {lab: coeffs[lab] for lab in sorted(coeffs, key=order.get)})
-        dev = max(dev, abs(column.pop(c, 0j) - 1.0), *map(abs, column.values()))
-    return dev
-
-
-def _check_orthonormal(funs: Sequence[CylFun]) -> None:
-    g = funs[0].graph
-    for f in funs[1:]:
-        if not graphs_equal(f.graph, g):
-            raise ValueError("basis states must share a common graph")
-    dev = _gram_deviation(funs)
-    if dev > ORTHONORMALITY_TOL:
-        raise ValueError(
-            f"basis is not orthonormal: Gram matrix deviates from identity by {dev:.3e}"
-        )
-
-
 def _operator_matrix(basis, surface: Surface, image) -> np.ndarray:
     """Matrix of a surface operator in an orthonormal basis of states or functions.
 
     ``image(pr, codec)`` gives the operator's image map on int-keyed
     coefficient dicts of the graph punctured by ``surface``, for whatever
-    spins the labels carry.  Promotion is an isometry, so matrix elements
-    are taken between the promoted functions, one image column at a time
-    through an index from label key to basis rows.  The raw matrix is
-    checked to be Hermitian to HERMITICITY_TOL and returned exactly
+    spins the labels carry.  The basis is promoted to the punctured graph
+    and encoded once, and one index from label key to basis rows gives
+    both the Gram matrix, checked to be the identity to ORTHONORMALITY_TOL
+    (promotion is an isometry, so the verdict is that of ``gram`` up to
+    rounding), and the matrix, one image column at a time.  The raw matrix
+    is checked to be Hermitian to HERMITICITY_TOL and returned exactly
     Hermitian.
     """
     funs = _state_funs(basis)
     pr = punctures(funs[0].graph, surface)
-    _check_orthonormal(funs)
+    for f in funs[1:]:
+        if not graphs_equal(f.graph, funs[0].graph):
+            raise ValueError("basis states must share a common graph")
     proms = [promote(f, pr.refinement).coefficients for f in funs]
     codec = _LabelCodec(pr.graph.n_edges, proms)
     proms = [codec.encode(c) for c in proms]
-    image_map = image(pr, codec)
     rows = _row_index(proms)
+    dev = 0.0
+    for c, coeffs in enumerate(proms):
+        column = _column(rows, coeffs)
+        dev = max(dev, abs(column.pop(c, 0j) - 1.0), *map(abs, column.values()))
+    if dev > ORTHONORMALITY_TOL:
+        raise ValueError(
+            f"basis is not orthonormal: Gram matrix deviates from identity by {dev:.3e}"
+        )
+    image_map = image(pr, codec)
     n = len(funs)
     mat = np.zeros((n, n), dtype=complex)
     for j, coeffs in enumerate(proms):
@@ -464,13 +438,13 @@ def flux_commutator_closed_form(F1: FluxSpec, F2: FluxSpec, psi: CylFun) -> CylF
             p2 = by_vertex.get(p1.vertex)
             if p2 is None:
                 continue
-            fJ = _smeared(np.cross(F1.components_at(p1.point), F2.components_at(p2.point)))
+            f = np.cross(F1.components_at(p1.point), F2.components_at(p2.point))
             kappa2 = {(he.edge, he.direction): he.kappa for he in p2.half_edges}
             for he in p1.half_edges:
                 kk = he.kappa * kappa2.get((he.edge, he.direction), 0)
                 if kk != 0:
                     away = _is_away(he.direction)
-                    actions.append(_insertion(codec, he.edge, away, fJ, 0.25j * kk))
+                    actions.append(_insertion(codec, he.edge, away, f, 0.25j * kk))
         return _summed(actions)
 
     return _applied(fun.graph, fun.coefficients, image_for)

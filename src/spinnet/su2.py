@@ -143,13 +143,6 @@ def magnetic_range(j: HalfInt) -> list[HalfInt]:
     return [HalfInt(t) for t in range(j.twice, -j.twice - 1, -2)]
 
 
-def _mag_index(j: HalfInt, m: HalfInt) -> int:
-    idx2 = j.twice - m.twice
-    if idx2 < 0 or idx2 > 2 * j.twice or idx2 % 2:
-        raise ValueError(f"magnetic number {m} out of range for spin {j}")
-    return idx2 // 2
-
-
 def total_spins(spins: Sequence[HalfInt]) -> dict[HalfInt, int]:
     """Total-spin content of a tensor product: {J: multiplicity}."""
     content = {HalfInt(0): 1}

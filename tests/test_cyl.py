@@ -200,6 +200,16 @@ def test_mc_inner_product_statistics():
     assert abs(est2) < 4 * max(err2, 1e-3)
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_mc_inner_product_refuses_fewer_than_one_sample(samples):
+    # refused before any Haar draw, with no average over zero samples
+    g = theta_graph()
+    f = states_for_spins(g, [HALF, HALF, 1])[0].fun
+    with mock.patch.object(cyl, "haar_quaternions", side_effect=AssertionError("drew")):
+        with pytest.raises(ValueError, match="samples"):
+            mc_inner_product(f, f, samples)
+
+
 # ---------------------------------------------------------------------------
 # promotion
 
@@ -230,6 +240,57 @@ def test_promotion_preserves_values():
     u1, u2 = haar_sample(RNG), haar_sample(RNG)
     # the coarse holonomy is the later-left product of its pieces
     assert abs(evaluate(f, [multiply(u2, u1)]) - evaluate(pf, [u1, u2])) < 1e-12
+
+
+@st.composite
+def _split_graphs(draw):
+    """A star or a path of 2-4 straight edges, each pointing either way,
+    with 1-2 interior split points per edge, at least 0.02 of its length
+    from each other and from its ends."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_edges = draw(st.integers(2, 4))
+    if draw(st.booleans()):  # star: edge k joins the centre and tip k + 1
+        verts = np.vstack([np.zeros(3), rng.normal(size=(n_edges, 3))])
+        ends = [(0, k + 1) for k in range(n_edges)]
+    else:  # path: edge k joins vertices k and k + 1
+        verts = np.cumsum(rng.normal(size=(n_edges + 1, 3)), axis=0)
+        ends = [(k, k + 1) for k in range(n_edges)]
+    g = EmbeddedGraph.build(verts, [(b, a) if draw(st.booleans()) else (a, b) for a, b in ends])
+    events = []
+    for eid, edge in enumerate(g.edges):
+        for k in draw(st.lists(st.integers(1, 9), min_size=1, max_size=2, unique=True)):
+            t = k / 10 + draw(st.floats(-0.04, 0.04))
+            events.append((eid, edge.polyline[0] + t * (edge.polyline[-1] - edge.polyline[0])))
+    return g, events, rng
+
+
+def _random_cylfun(rng, g, terms):
+    coeffs = {}
+    for _ in range(terms):
+        labels = []
+        for _ in range(g.n_edges):
+            tj = int(rng.integers(0, 4))
+            tm, tn = rng.integers(0, tj + 1, size=2) * 2 - tj
+            labels.append((tj, int(tm), int(tn)))
+        coeffs[tuple(labels)] = complex(rng.normal(), rng.normal())
+    return CylFun(g, coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_split_graphs())
+def test_inner_product_is_refinement_invariant_on_random_graphs(case):
+    g, events, rng = case
+    f1 = _random_cylfun(rng, g, 3)
+    # one shared term, so that the inner product is usually nonzero
+    f2 = _random_cylfun(rng, g, 2) + CylFun(g, {next(iter(f1.coefficients)): 0.7 - 0.2j})
+    # unit norms: the rounding of the up to 16^4 promoted terms scales with |f1| |f2|
+    f1, f2 = (1.0 / f1.norm()) * f1, (1.0 / f2.norm()) * f2
+    fine, rmap = subdivide_many(g, events)
+    assert fine.n_edges == g.n_edges + len(events)
+    for a, b in ((f1, f2), (f2, f1), (f1, f1)):
+        before = inner_product(a, b)
+        after = inner_product(promote(a, rmap), promote(b, rmap))
+        assert abs(before - after) < 1e-12
 
 
 def test_cross_graph_inner_product_auto_refines():

@@ -6,6 +6,7 @@ structural checks and small frozen cases.
 
 import itertools
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -189,7 +190,8 @@ def test_flux_matrix_requires_orthonormal_basis():
         flux_matrix(FluxSpec(Z_PATCH, V([0, 0, 1.0])), [a, a + b])
 
 
-def test_gram_deviation_matches_the_dense_gram():
+def _gram_families():
+    """Named families on star3: orthonormal, refused, and near the tolerance."""
     g = star3_graph()
     basis = [b.fun for b in states_for_spins(g, [HALF, 1, HALF], gauge_invariant=False)]
     a = monomial(g, [(HALF, HALF, HALF)] * 3)
@@ -206,28 +208,51 @@ def test_gram_deviation_matches_the_dense_gram():
         "scaled": [a, (1 + 1e-12j) * b],
         "noisy": noisy,
     }
-    for name, funs in families.items():
-        dense = np.max(np.abs(cyl.gram(funs) - np.eye(len(funs))))
-        assert operators._gram_deviation(funs).hex() == dense.hex(), name
-
-
-def test_gram_deviation_matches_the_dense_gram_in_any_label_order():
     # each function lists its labels in its own random order, so the order
     # of first appearance in the family differs from every dict order
-    g = star3_graph()
     labels = [
         ((1, m, n), (2, a, b), (1, n, m))
         for m in (-1, 1) for n in (-1, 1) for a in (-2, 0, 2) for b in (-2, 0, 2)
     ]
     rng = np.random.default_rng(8)
-    for _ in range(100):
+    for k in range(100):
         funs = []
         for _ in range(int(rng.integers(1, 10))):
             picked = rng.permutation(len(labels))[: int(rng.integers(0, 10))]
             scale = 1e-9 if rng.random() < 0.5 else 1.0
             funs.append(CylFun(g, {labels[i]: scale * complex(*rng.normal(size=2)) for i in picked}))
+        families[f"random-order-{k}"] = funs
+    return families
+
+
+def test_operator_matrices_refuse_exactly_the_non_orthonormal_families():
+    # the check runs on the basis promoted to the punctured graph, so it is
+    # the verdict of the dense Gram matrix, and the message prints its deviation
+    F = FluxSpec(Z_PATCH, V([0.3, -0.2, 0.9]))
+    refused = set()
+    for name, funs in _gram_families().items():
         dense = np.max(np.abs(cyl.gram(funs) - np.eye(len(funs))))
-        assert operators._gram_deviation(funs).hex() == dense.hex()
+        refuse = dense > operators.ORTHONORMALITY_TOL
+        for build in (lambda: flux_matrix(F, funs), lambda: area_matrix(Z_PATCH, funs)):
+            if refuse:
+                message = re.escape(f"deviates from identity by {dense:.3e}")
+                with pytest.raises(ValueError, match=message):
+                    build()
+            else:
+                assert build().shape == (len(funs), len(funs)), name
+        if refuse:
+            refused.add(name)
+    assert {"overlap", "empty-function", "noisy"} <= refused
+    assert not {"basis", "scaled"} & refused
+
+
+def test_operator_matrices_refuse_a_mixed_graph_basis():
+    a = monomial(star3_graph(), [(HALF, HALF, HALF)] * 3)
+    b = monomial(line_graph(), [(HALF, HALF, HALF)])
+    with pytest.raises(ValueError, match="basis states must share a common graph"):
+        flux_matrix(FluxSpec(Z_PATCH, V([0, 0, 1.0])), [a, b])
+    with pytest.raises(ValueError, match="basis states must share a common graph"):
+        area_matrix(Z_PATCH, [a, b])
 
 
 def melon_graph():
@@ -1115,3 +1140,62 @@ def test_area_matrix_eigenvalues_match_the_coupling_closed_form(case):
     got = np.linalg.eigvalsh(area_matrix(surface, basis))
     assert got.shape == (len(expect),)
     assert np.max(np.abs(got - np.sort(expect))) < 1e-10
+
+
+@st.composite
+def _multiply_punctured_graphs(draw):
+    """2-3 straight edges crossing a tilted patch once each, near the row
+    w = -1 of its (u, w) coordinates, and one bent edge crossing it twice,
+    at w = +1, with a bridge above the patch between its two crossings.
+    Every edge points either way.  Returns the graph, the patch and the
+    number of punctures per edge."""
+    angle = st.floats(0.0, 2.0 * math.pi)
+    theta, phi = draw(st.floats(0.0, math.pi)), draw(angle)
+    normal = V([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)])
+    u = np.cross(normal, [1.0, 0.0, 0.0] if abs(normal[0]) < 0.9 else [0.0, 1.0, 0.0])
+    u /= np.linalg.norm(u)
+    w = np.cross(normal, u)
+    jitter = st.floats(-0.1, 0.1)
+    verts, edges, crossings = [], [], []
+
+    def add(polyline, n_crossings):
+        k = len(verts)
+        verts.extend([polyline[0], polyline[-1]])
+        if draw(st.booleans()):
+            edges.append((k + 1, k, V(polyline[::-1])))
+        else:
+            edges.append((k, k + 1, V(polyline)))
+        crossings.append(n_crossings)
+
+    for x in (-1.2, 0.0, 1.2)[: draw(st.integers(2, 3))]:
+        # a tilt of at most 0.15 keeps the edge within 0.15 of its crossing
+        at = (x + draw(jitter)) * u + (-1.0 + draw(jitter)) * w
+        tilt = draw(jitter) * u + draw(jitter) * w
+        add([at - normal - tilt, at + normal + tilt], 1)
+    a = (-1.0 + draw(jitter)) * u + (1.0 + draw(jitter)) * w
+    b = (1.0 + draw(jitter)) * u + (1.0 + draw(jitter)) * w
+    add([a - normal, a + 0.8 * normal, b + 0.8 * normal, b - normal], 2)
+    graph = EmbeddedGraph.build(V(verts), edges)
+    return graph, patch([0, 0, 0], normal, u, w), crossings
+
+
+@settings(max_examples=25, deadline=None)
+@given(_multiply_punctured_graphs(), st.data())
+def test_area_on_several_punctures_matches_area_spectrum(case, data):
+    # promotion contracts the two fine labels at each puncture to a singlet,
+    # so every member of the extended basis at one spin assignment is an
+    # eigenfunction with eigenvalue sum_p 2 sqrt(j_e (j_e + 1))
+    graph, surface, crossings = case
+    assert len(punctures(graph, surface).punctures) == sum(crossings)
+    n = len(crossings)
+    tjs = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    # up to 12 members of the extended basis: one normalized monomial each
+    mags = [st.sampled_from(range(-tj, tj + 1, 2)) for tj in tjs]
+    label = st.tuples(*(st.tuples(st.just(tj), m, m) for tj, m in zip(tjs, mags)))
+    keys = data.draw(st.lists(label, min_size=1, max_size=12, unique=True))
+    basis = [CylFun(graph, {key: 1.0 + 0j}) for key in keys]
+    expect = sum(k * math.sqrt(tj * (tj + 2)) for k, tj in zip(crossings, tjs))  # 2 sqrt(j(j+1))
+    got = np.linalg.eigvalsh(area_matrix(surface, basis))
+    assert np.max(np.abs(got - expect)) < 1e-10
+    values = np.array(area_spectrum(graph, surface, Fraction(3, 2)).values)
+    assert np.min(np.abs(values - expect)) < 1e-12

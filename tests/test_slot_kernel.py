@@ -177,11 +177,10 @@ def test_one_slot_flux_matches_tuple_kernel(scale):
         f = rng.normal(size=3)
         f[1] = [0.0, -0.0][trial % 2]
         codec = operators._LabelCodec(len(tjs), [coeffs])
-        fJ = operators._smeared(f)
         want, got = {}, {}
         for edge, away in itertools.product(range(len(tjs)), (True, False)):
             _ref_slot_action(coeffs, [(edge, away)], _ref_flux_columns(away, f, scale), want)
-            action = operators._insertion(codec, edge, away, fJ, scale)
+            action = operators._insertion(codec, edge, away, f, scale)
             action.apply(codec.encode(coeffs), got)
         _assert_same_bytes(codec.decode(got), want)
         cancelled += sum(v == 0 for v in want.values())
