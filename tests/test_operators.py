@@ -190,7 +190,7 @@ def test_flux_matrix_requires_orthonormal_basis():
         flux_matrix(FluxSpec(Z_PATCH, V([0, 0, 1.0])), [a, a + b])
 
 
-def _gram_families():
+def _named_gram_families():
     """Named families on star3: orthonormal, refused, and near the tolerance."""
     g = star3_graph()
     basis = [b.fun for b in states_for_spins(g, [HALF, 1, HALF], gauge_invariant=False)]
@@ -201,20 +201,26 @@ def _gram_families():
         CylFun(g, {k: c + 1e-9 * complex(*rng.normal(size=2)) for k, c in f.coefficients.items()})
         for f in basis[:20]
     ]
-    families = {
+    return {
         "basis": basis,
         "overlap": [a, a + b],
         "empty-function": [a, CylFun(g, {}), b],  # a diagonal entry the sparse Gram does not store
         "scaled": [a, (1 + 1e-12j) * b],
         "noisy": noisy,
     }
-    # each function lists its labels in its own random order, so the order
-    # of first appearance in the family differs from every dict order
+
+
+def _random_order_gram_families():
+    """100 families on star3 whose functions each list their labels in their
+    own random order, so the order of first appearance in the family differs
+    from every dict order."""
+    g = star3_graph()
     labels = [
         ((1, m, n), (2, a, b), (1, n, m))
         for m in (-1, 1) for n in (-1, 1) for a in (-2, 0, 2) for b in (-2, 0, 2)
     ]
     rng = np.random.default_rng(8)
+    families = {}
     for k in range(100):
         funs = []
         for _ in range(int(rng.integers(1, 10))):
@@ -225,12 +231,15 @@ def _gram_families():
     return families
 
 
-def test_operator_matrices_refuse_exactly_the_non_orthonormal_families():
+def _refused_as_the_dense_gram(families) -> set:
+    """Names of the families that flux_matrix and area_matrix refuse, after
+    checking that both refuse exactly when the dense max|gram - I| exceeds
+    ORTHONORMALITY_TOL and print that deviation in the message."""
     # the check runs on the basis promoted to the punctured graph, so it is
-    # the verdict of the dense Gram matrix, and the message prints its deviation
+    # the verdict of the dense Gram matrix up to rounding
     F = FluxSpec(Z_PATCH, V([0.3, -0.2, 0.9]))
     refused = set()
-    for name, funs in _gram_families().items():
+    for name, funs in families.items():
         dense = np.max(np.abs(cyl.gram(funs) - np.eye(len(funs))))
         refuse = dense > operators.ORTHONORMALITY_TOL
         for build in (lambda: flux_matrix(F, funs), lambda: area_matrix(Z_PATCH, funs)):
@@ -242,8 +251,19 @@ def test_operator_matrices_refuse_exactly_the_non_orthonormal_families():
                 assert build().shape == (len(funs), len(funs)), name
         if refuse:
             refused.add(name)
-    assert {"overlap", "empty-function", "noisy"} <= refused
-    assert not {"basis", "scaled"} & refused
+    return refused
+
+
+def test_gram_deviation_matches_the_dense_gram():
+    refused = _refused_as_the_dense_gram(_named_gram_families())
+    assert refused == {"overlap", "empty-function", "noisy"}
+
+
+def test_gram_deviation_matches_the_dense_gram_in_any_label_order():
+    # random coefficients are far from orthonormal, so every family is
+    # refused, and each message must print the dense deviation
+    families = _random_order_gram_families()
+    assert _refused_as_the_dense_gram(families) == set(families)
 
 
 def test_operator_matrices_refuse_a_mixed_graph_basis():
