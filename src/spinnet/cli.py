@@ -99,6 +99,8 @@ class JobConfig:
             raise ParseError("--gamma", "the output scale (8*pi*gamma)^(3/2) overflows")
         if _volume_unit(self.gamma) * self.c == math.inf:
             raise ParseError("--c", "the output scale (8*pi*gamma)^(3/2) * c overflows")
+        if not _is_int(self.samples):
+            raise ParseError("--samples", f"need an integer sample count, got {self.samples!r}")
         if self.samples < 1:
             raise ParseError("--samples", "need at least one sample")
         if self.fmt not in ("csv", "pretty"):

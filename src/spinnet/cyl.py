@@ -24,6 +24,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -623,6 +624,33 @@ def gram(funs: Sequence[CylFun], sparse: bool = False):
 
 #: Haar samples drawn per edge at a time; it fixes the order of the random stream
 _MC_CHUNK = 250_000
+#: samples evaluated at a time within a chunk, so that the entry and Wigner
+#: arrays of one block stay in cache; it does not touch the random stream
+_MC_BLOCK = 4096
+
+
+def _sample_count(samples) -> int:
+    """The Monte Carlo sample count as a Python int of at least 1."""
+    if isinstance(samples, bool):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
+    try:
+        count = operator.index(samples)
+    except TypeError:
+        raise ValueError(f"samples must be an integer, got {samples!r}") from None
+    if count < 1:
+        raise ValueError(f"samples must be at least 1, got {count}")
+    return count
+
+
+def _blocks(n: int):
+    """(start, stop) bounds of the blocks of a chunk of n samples.
+
+    A remainder of one sample joins the block before it: numpy evaluates a
+    length-1 array by other loops, whose bits can differ from the long ones."""
+    bounds = list(range(0, n, _MC_BLOCK)) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return zip(bounds, bounds[1:])
 
 
 def mc_inner_product(
@@ -634,11 +662,11 @@ def mc_inner_product(
     """Monte Carlo check of the Haar inner product.
 
     Draws i.i.d. Haar tuples, averages conj(f1) * f2, and returns the
-    estimate with the standard error of the mean.  ``samples`` must be at
-    least 1.
+    estimate with the standard error of the mean.  ``samples`` must be an
+    integer of at least 1.  Each chunk of samples is evaluated block by block
+    into one array and summed whole, so blocking changes no bit.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    samples = _sample_count(samples)
     if not graphs_equal(f1.graph, f2.graph):
         _, m1, m2 = common_refinement(f1.graph, f2.graph)
         f1 = promote(f1, m1)
@@ -650,10 +678,13 @@ def mc_inner_product(
     done = 0
     while done < samples:
         n = min(_MC_CHUNK, samples - done)
-        entries = [_quaternion_entries(haar_quaternions(rng, n)) for _ in range(n_edges)]
-        v1 = _evaluate_batch(f1, entries, n)
-        v2 = _evaluate_batch(f2, entries, n)
-        z = np.conjugate(v1) * v2
+        quats = [haar_quaternions(rng, n) for _ in range(n_edges)]
+        z = np.empty(n, dtype=complex)
+        for lo, hi in _blocks(n):
+            entries = [_quaternion_entries(q[lo:hi]) for q in quats]
+            v1 = _evaluate_batch(f1, entries, hi - lo)
+            v2 = _evaluate_batch(f2, entries, hi - lo)
+            np.multiply(np.conjugate(v1, out=v1), v2, out=z[lo:hi])
         total += complex(z.sum())
         total_sq += float(np.sum(np.abs(z) ** 2))
         done += n

@@ -668,15 +668,30 @@ def intertwiner_basis(spins: Iterable) -> IntertwinerBasis:
 # Haar sampling
 
 
+def _row_norms(q: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an (n, 4) array, summed in the order
+    ((q0² + q1²) + q2²) + q3² on column views: the bits of
+    ``np.linalg.norm(q, axis=1)`` without its reduction machinery."""
+    q0, q1, q2, q3 = (q[:, k] for k in range(4))
+    s = q0 * q0
+    s += q1 * q1
+    s += q2 * q2
+    s += q3 * q3
+    return np.sqrt(s, out=s)
+
+
 def haar_quaternions(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n unit quaternions distributed by Haar measure (normalized Gaussians)."""
-    q = rng.normal(size=(n, 4))
-    norms = np.linalg.norm(q, axis=1)
+    """n unit quaternions distributed by Haar measure (normalized Gaussians).
+
+    ``standard_normal`` draws the values of ``normal(size=...)``, which only
+    adds 0.0 to them (turning a -0.0 draw into 0.0), without that pass."""
+    q = rng.standard_normal((n, 4))
+    norms = _row_norms(q)
     # a 4d Gaussian is almost surely nonzero; resample the pathological rows
     bad = norms < 1e-12
     while np.any(bad):
-        q[bad] = rng.normal(size=(int(bad.sum()), 4))
-        norms = np.linalg.norm(q, axis=1)
+        q[bad] = rng.standard_normal((int(bad.sum()), 4))
+        norms = _row_norms(q)
         bad = norms < 1e-12
     q /= norms[:, np.newaxis]
     return q

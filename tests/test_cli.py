@@ -694,6 +694,14 @@ def test_exit_on_spin_above_monte_carlo_ceiling(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("samples", [True, 2.5, "10", None], ids=repr)
+def test_exit_on_a_sample_count_that_is_not_an_integer(samples, tmp_path):
+    # refused before the (missing) document is read
+    config = cli.JobConfig("inner-product", str(tmp_path / "missing.yaml"), samples=samples)
+    with pytest.raises(cli.ParseError, match="--samples: need an integer sample count"):
+        cli.run(config)
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # the seven command lines of the README; golden/<command>.csv holds the stdout

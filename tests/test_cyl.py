@@ -210,6 +210,24 @@ def test_mc_inner_product_refuses_fewer_than_one_sample(samples):
             mc_inner_product(f, f, samples)
 
 
+@pytest.mark.parametrize("samples", [2.5, 10.0, "10", None, True, False, np.bool_(True)], ids=repr)
+def test_mc_inner_product_refuses_a_sample_count_that_is_not_an_integer(samples):
+    g = theta_graph()
+    f = states_for_spins(g, [HALF, HALF, 1])[0].fun
+    with mock.patch.object(cyl, "haar_quaternions", side_effect=AssertionError("drew")):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            mc_inner_product(f, f, samples)
+
+
+@pytest.mark.parametrize("samples", [np.int64(10), np.uint8(10)], ids=repr)
+def test_mc_inner_product_takes_a_numpy_integer_count(samples):
+    g = theta_graph()
+    f = states_for_spins(g, [HALF, HALF, 1])[0].fun
+    est, err = mc_inner_product(f, f, samples, seed=3)
+    assert type(est) is complex and type(err) is float
+    assert (est, err) == mc_inner_product(f, f, 10, seed=3)
+
+
 # ---------------------------------------------------------------------------
 # promotion
 
